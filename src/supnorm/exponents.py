@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .arithmetic import THETA
 
 SYMBOLS = ("N", "t_star", "Z", "L", "H", "q")
@@ -160,45 +158,42 @@ def lemma9_lemma11_assembly(theta: Fraction = THETA) -> dict:
 Z_SUBSTITUTION = {"Z": Monomial.of(t_star=1, N=1)}
 
 
+def _solve_exact(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination over Q: the X with matrix @ X = rhs, for a
+    square matrix; raises ValueError when the matrix is singular."""
+    n = len(matrix)
+    rows = [list(m) + list(r) for m, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("balance system is singular or underdetermined")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def solve_balance(terms, unknowns: tuple[str, ...] = ("H", "L")) -> dict:
     """Equates the N- and t*-exponents of the supplied terms after Z -> t* N,
     with each unknown X = N^x1 (t*)^x2, and solves the linear system exactly.
+
+    The N- and t*-exponents decouple into two systems with the same matrix,
+    one row per term after the first: sum_u (c_j,u - c_0,u) x_u = e_0 - e_j,
+    where c_j,u is the power of unknown u in term j and e_j its own exponent.
 
     Returns {unknown: Monomial in N, t*}."""
     terms = [t.substitute(Z_SUBSTITUTION) for t in terms]
     if len(terms) != len(unknowns) + 1:
         raise ValueError("need exactly one more term than unknowns")
-    vars_ = {}
-    for u in unknowns:
-        vars_[u] = (sympy.Symbol(f"{u}_N"), sympy.Symbol(f"{u}_t"))
-
-    def exps(term):
-        n_e = sympy.Rational(term.exponent("N"))
-        t_e = sympy.Rational(term.exponent("t_star"))
-        for u in unknowns:
-            c = sympy.Rational(term.exponent(u))
-            n_e += c * vars_[u][0]
-            t_e += c * vars_[u][1]
-        return n_e, t_e
-
-    base_n, base_t = exps(terms[0])
-    equations = []
-    for term in terms[1:]:
-        n_e, t_e = exps(term)
-        equations.append(sympy.Eq(n_e, base_n))
-        equations.append(sympy.Eq(t_e, base_t))
-    flat = [v for pair in vars_.values() for v in pair]
-    sol = sympy.linsolve(equations, flat)
-    if len(sol) != 1:
-        raise ValueError("balance system is singular or underdetermined")
-    values = dict(zip(flat, next(iter(sol))))
-    if any(v.free_symbols for v in values.values()):
-        raise ValueError("balance system is underdetermined")
-    out = {}
-    for u in unknowns:
-        n_v, t_v = values[vars_[u][0]], values[vars_[u][1]]
-        out[u] = Monomial.of(N=F(int(n_v.p), int(n_v.q)), t_star=F(int(t_v.p), int(t_v.q)))
-    return out
+    base = terms[0]
+    matrix = [[t.exponent(u) - base.exponent(u) for u in unknowns] for t in terms[1:]]
+    rhs = [[base.exponent(s) - t.exponent(s) for s in ("N", "t_star")] for t in terms[1:]]
+    solution = _solve_exact(matrix, rhs)
+    return {u: Monomial.of(N=n_v, t_star=t_v) for u, (n_v, t_v) in zip(unknowns, solution)}
 
 
 T_STAR_MAX = F(1, 165)  # allowed range: 1 <= t* <= N^(1/165)

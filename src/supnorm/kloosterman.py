@@ -36,14 +36,17 @@ def kloosterman_sum(q: KloostermanQuery) -> complex:
     m, n, c, chi = q.m, q.n, q.c, q.chi
     if c == 1:
         return 1 + 0j
+    twisted = not chi.is_trivial()
     total = 0j
     for a in range(1, c):
         if math.gcd(a, c) != 1:
             continue
         abar = mod_inverse(a, c)
         phase = Fraction((m * abar + n * a) % c, c)
-        chi_angle = chi.angle(a)  # a is a unit mod c, hence mod N | c
-        total += e(phase - chi_angle)  # conjugate character: subtract the angle
+        if twisted:
+            # a is a unit mod c, hence mod N | c; conjugate character: subtract the angle
+            phase -= chi.angle(a)
+        total += e(phase)
     return total
 
 

@@ -3,6 +3,10 @@ plateau windows on [Z/2, 2Z] with derivative scale T, an exact dyadic partition
 of unity, exponential-sum decay under Poisson summation, kernel integrals
 against the plus/minus Bessel kernels, continued-fraction rational
 approximation, and the major-arc bound formula.
+
+The kernels come from `specfun.voronoi_kernel_values`, which evaluates the
+imaginary-order Bessel functions of a Maass form over a whole node array at
+once; nothing here calls mpmath.
 """
 
 from __future__ import annotations
@@ -11,11 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
-from scipy import special
 
-from .specfun import ArchimedeanParameter
+from .specfun import ArchimedeanParameter, voronoi_kernel_values
 
 
 # ---------------------------------------------------------------------------
@@ -207,31 +209,6 @@ def lemma4_t_sweep(Z: float, alpha, j: int, t_values) -> dict:
 # kernel integrals (Lemma 6 shapes)
 # ---------------------------------------------------------------------------
 
-def _kernel_values(param: ArchimedeanParameter, sign: str, w: np.ndarray) -> np.ndarray:
-    """Vectorized plus/minus kernel at arguments w = 4*pi*y-style points."""
-    if param.kind == "holomorphic":
-        if sign == "-":
-            return np.zeros_like(w)
-        return 2 * math.pi * special.jv(param.k - 1, w)
-    t = abs(param.t)
-    if t == 0:
-        if sign == "+":
-            return 2 * math.pi * special.yv(0, w)
-        return 4 * special.kv(0, w)
-    out = np.empty_like(w)
-    with mp.workdps(25 + int(3 * t)):
-        nu = 2j * mp.mpf(t)
-        if sign == "+":
-            c = math.pi / math.cosh(math.pi * t)
-            for i, ww in enumerate(w):
-                out[i] = c * 2 * float(mp.bessely(nu, mp.mpf(ww)).real)
-        else:
-            c = 4 * math.cosh(math.pi * t)
-            for i, ww in enumerate(w):
-                out[i] = c * float(mp.besselk(nu, mp.mpf(ww)).real)
-    return out
-
-
 def voronoi_integral(w: SmoothWindow, param: ArchimedeanParameter, sign: str,
                      alpha: float) -> float:
     """I = int g(xi) kernel(alpha sqrt(xi)) dxi over the window's support,
@@ -247,7 +224,7 @@ def voronoi_integral(w: SmoothWindow, param: ArchimedeanParameter, sign: str,
     starts = v_lo + length * np.arange(n)
     v = (starts[:, None] + length / 2 + (length / 2) * x[None, :]).ravel()
     weights = np.tile(gw * length / 2, n)
-    kern = _kernel_values(param, sign, alpha * v)
+    kern = voronoi_kernel_values(param, sign, alpha * v)
     return float(np.dot(weights, w(v * v) * kern * 2 * v))
 
 

@@ -1,17 +1,18 @@
 """The test function phi_{A,B}(x) = i^{B-A} J_A(x) x^{-B} and its two Bessel
 transforms, in closed form (exact rationals over pi) and by quadrature.
 
-The discrete ("dot") transform i^k int J_{k-1}(y) phi(y) dy/y is a plain
-oscillatory integral handled by vectorized Gauss-Legendre panels.  The
-continuous ("tilde") transform needs J at purely imaginary order 2it; we take
+Both quadratures sum over one node grid each: 16-node Gauss-Legendre panels,
+uniform in log y below 2 pi and 2 pi wide above.  The discrete ("dot")
+transform i^k int J_{k-1}(y) phi(y) dy/y is a plain oscillatory integral.
+The continuous ("tilde") transform needs J at purely imaginary order 2it; we
+take
 
     (i / 2 sinh(pi t)) int (J_{2it} - J_{-2it}) phi dy/y
         = - int Im J_{2it}(y) / sinh(pi t) * phi(y) dy/y ,
 
-evaluating the ratio Im J_{2it}(y)/sinh(pi t) with mpmath at small y and a
-Hankel-type asymptotic expansion (vectorized complex numpy) at large y.  The
-ratio only depends on t, so it is cached on a fixed node grid and reused
-across (A, B).
+with the ratio Im J_{2it}(y)/sinh(pi t) from `specfun.y_pair_ratio`.  The
+ratio only depends on t, so it is cached on the node grid and reused across
+(A, B).
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 from scipy import special
+
+from .specfun import gauss_legendre_nodes, y_pair_ratio
 
 
 @dataclass(frozen=True)
@@ -115,23 +117,20 @@ def positivity_certificate(tf: TestFunction, tau: Fraction = Fraction(7, 64)) ->
 # quadrature: shared Gauss-Legendre panel grids
 # ---------------------------------------------------------------------------
 
-def _gl_panels(lo: float, hi: float, length: float, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    n_panels = int(math.ceil((hi - lo) / length))
-    length = (hi - lo) / n_panels
-    starts = lo + length * np.arange(n_panels)
-    mid = starts[:, None] + length / 2
-    return (mid + (length / 2) * x[None, :]).ravel(), np.tile(w * length / 2, n_panels)
+def _gl_panels(lo: float, hi: float, length: float):
+    return gauss_legendre_nodes(np.linspace(lo, hi, math.ceil((hi - lo) / length) + 1))
 
 
 def _panel_nodes(y_max: float, y_min: float = 1e-3, split: float = 2 * math.pi):
     """Node/weight grid for int_0^inf.  Imaginary-order Bessel factors oscillate
     like cos(2t log y) near 0, so below `split` the panels are uniform in log y
-    (after substitution dy = y du); above, plain pi/2 panels.  Contributions
-    below y_min are under 1e-18 for every shipped test function and dropped."""
-    u, wu = _gl_panels(math.log(y_min), math.log(split), 0.25, 16)
+    (after substitution dy = y du); above, plain 2 pi panels, on which the
+    integrands (two Bessel factors, each of frequency 1) turn by at most 4 pi.
+    Contributions below y_min are under 1e-18 for every shipped test function
+    and dropped."""
+    u, wu = _gl_panels(math.log(y_min), math.log(split), 0.25)
     y_log = np.exp(u)
-    y_lin, w_lin = _gl_panels(split, y_max, math.pi / 2, 10)
+    y_lin, w_lin = _gl_panels(split, y_max, 2 * math.pi)
     return np.concatenate([y_log, y_lin]), np.concatenate([wu * y_log, w_lin])
 
 
@@ -167,55 +166,13 @@ def dot_transform_quadrature(tf: TestFunction, k: int) -> float:
 
 # -- Im J_{2it}(y) / sinh(pi t), cached per t on the tilde grid --------------
 
-_HANKEL_CUT = 150.0  # asymptotic expansion is at float accuracy beyond this for t <= 10
-
-
-def _imj_ratio_asymptotic(t: float, y: np.ndarray) -> np.ndarray:
-    """Im J_{2it}(y) / sinh(pi t) via the Hankel large-argument expansion."""
-    nu = 2j * t
-    omega = y - (math.pi / 2) * nu - math.pi / 4
-    p = np.ones_like(y, dtype=complex)
-    q = np.zeros_like(y, dtype=complex)
-    term = np.ones_like(y, dtype=complex)
-    nusq4 = 4 * nu * nu
-    for kk in range(1, 25):
-        term = term * (nusq4 - (2 * kk - 1) ** 2) / (8 * kk * y)
-        if kk % 2 == 1:
-            q += (-1) ** ((kk - 1) // 2) * term
-        else:
-            p += (-1) ** (kk // 2) * term
-    val = np.sqrt(2 / (math.pi * y)) * (np.cos(omega) * p - np.sin(omega) * q)
-    return val.imag / math.sinh(math.pi * t)
-
-
-def _imj_ratio_small(t: float, y: np.ndarray) -> np.ndarray:
-    dps = 30 + int(3 * abs(t))
-    s = math.sinh(math.pi * t)
-    out = np.empty(len(y))
-    with mp.workdps(dps):
-        nu = 2j * mp.mpf(t)
-        for i, yy in enumerate(y):
-            out[i] = float(mp.besselj(nu, mp.mpf(yy)).imag) / s
-    return out
-
-
 _IMJ_CACHE: dict[float, np.ndarray] = {}
 
 
 def _imj_ratio_on_grid(t: float) -> np.ndarray:
-    if t in _IMJ_CACHE:
-        return _IMJ_CACHE[t]
-    y, _ = _tilde_grid()
-    if t == 0.0:
-        # lim Im J_{2it}(y)/sinh(pi t) = (2/pi) dJ_nu/dnu|_0 = Y_0(y)
-        vals = special.yv(0, y)
-    else:
-        small = y < _HANKEL_CUT
-        vals = np.empty_like(y)
-        vals[small] = _imj_ratio_small(t, y[small])
-        vals[~small] = _imj_ratio_asymptotic(t, y[~small])
-    _IMJ_CACHE[t] = vals
-    return vals
+    if t not in _IMJ_CACHE:
+        _IMJ_CACHE[t] = y_pair_ratio(t, _tilde_grid()[0])
+    return _IMJ_CACHE[t]
 
 
 def tilde_transform_quadrature(tf: TestFunction, t: float) -> float:

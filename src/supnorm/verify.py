@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from . import amplifier as amp_mod
 from . import counting, exponents, kloosterman, oscillatory, specfun, transforms
@@ -325,7 +326,6 @@ def sweep_kloosterman(rng: random.Random, n_instances: int = 40) -> dict:
         q = kloosterman.KloostermanQuery(rng.randint(-20, 20) or 1, rng.randint(-20, 20) or 1, c, chi)
         rep = kloosterman.kloosterman_weil_check(q)
         # the reference bound is an upper bound for square-free c
-        import sympy
         if all(e == 1 for e in sympy.factorint(c).values()):
             worst_trivial = max(worst_trivial, rep["ratio"])
         done += 1

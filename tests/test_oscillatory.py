@@ -127,6 +127,27 @@ def test_voronoi_integral_maass_t_zero():
     assert ours == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_voronoi_integral_maass_against_mpmath_kernel(sign):
+    import mpmath as mp
+    from scipy import integrate
+    t, alpha = 2.0, 1.0
+    w = SmoothWindow(16.0, 8.0)
+    param = ArchimedeanParameter.maass(t)
+
+    def kernel(x):
+        with mp.workdps(40):
+            if sign == "+":
+                pair = 2 * mp.bessely(2j * mp.mpf(t), x).real
+                return float(mp.pi / mp.cosh(mp.pi * t) * pair)
+            return float(4 * mp.cosh(mp.pi * t) * mp.besselk(2j * mp.mpf(t), x).real)
+
+    ours = oscillatory.voronoi_integral(w, param, sign, alpha)
+    direct, _ = integrate.quad(lambda xi: w(xi) * kernel(alpha * math.sqrt(xi)),
+                               8.0, 32.0, limit=200, epsabs=1e-13)
+    assert ours == pytest.approx(direct, rel=1e-8)
+
+
 def test_lemma6_bounds():
     assert oscillatory.lemma6_bound1(16.0, 2.0, 4.0) == pytest.approx(16 ** 0.75 * 2 / 2)
     val = oscillatory.lemma6_bound2(64.0, 8.0, 1.0, 2.0, 1)

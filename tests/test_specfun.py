@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -36,6 +37,68 @@ def test_bessel_k_imag_against_quadrature_oracle(t, y):
 def test_bessel_k_imag_even_in_t_and_t_zero():
     assert specfun.bessel_k_imag(2.0, 1.0) == specfun.bessel_k_imag(-2.0, 1.0)
     assert specfun.bessel_k_imag(0.0, 1.5) == pytest.approx(float(special.kv(0, 1.5)))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+def test_y_pair_ratio_against_mpmath(t):
+    # both branches: the contour integral below y = 150 and Hankel's expansion above
+    y = np.geomspace(1e-3, 2e3, 41)
+    ours = specfun.y_pair_ratio(t, y)
+    with mp.workdps(30 + int(3 * t)):
+        ref = [float(mp.besselj(2j * mp.mpf(t), mp.mpf(v)).imag / mp.sinh(mp.pi * t)) for v in y]
+    assert np.max(np.abs(ours - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+def test_k_imag_scaled_against_mpmath(t):
+    # relative accuracy where K decays (down to e^-700 at y = 700), absolute
+    # accuracy in the oscillatory range y < t
+    y = np.geomspace(0.05, 700, 41)
+    ours = specfun.k_imag_scaled(t, y)
+    with mp.workdps(30 + int(3 * t)):
+        ref = np.array([float(mp.cosh(mp.pi * t / 2) * mp.besselk(1j * mp.mpf(t), mp.mpf(v)).real)
+                        for v in y])
+    decaying = y >= t
+    assert np.max(np.abs(ours - ref)[decaying] / np.abs(ref[decaying])) <= 1e-12
+    assert np.max(np.abs(ours - ref)[~decaying], initial=0.0) <= 1e-11
+
+
+def test_imaginary_order_evaluators_at_t_zero_match_scipy():
+    y = np.geomspace(1e-3, 140, 30)
+    assert specfun.y_pair_ratio(0.0, y) == pytest.approx(special.yv(0, y), rel=1e-12, abs=1e-14)
+    assert specfun.k_imag_scaled(0.0, y) == pytest.approx(special.kv(0, y), rel=1e-12)
+
+
+def test_imaginary_order_evaluators_do_not_depend_on_blocking(monkeypatch):
+    y = np.geomspace(1e-2, 140, 50)
+    whole = specfun.y_pair_ratio(2.0, y), specfun.k_imag_scaled(3.0, y)
+    monkeypatch.setattr(specfun, "_BLOCK", 64)
+    blocked = specfun.y_pair_ratio(2.0, y), specfun.k_imag_scaled(3.0, y)
+    for a, b in zip(whole, blocked):
+        assert b == pytest.approx(a, rel=1e-14, abs=1e-16)
+
+
+def test_imaginary_order_evaluators_reject_nonpositive():
+    with pytest.raises(ValueError):
+        specfun.y_pair_ratio(1.0, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        specfun.k_imag_scaled(1.0, [-1.0])
+
+
+def test_scalar_wrappers_match_the_array_evaluators():
+    t, y = 1.5, np.array([0.2, 1.3, 4.0, 9.0])
+    ratio, k = specfun.y_pair_ratio(t, y), specfun.k_imag_scaled(t, y)
+    for i, v in enumerate(y):
+        assert specfun.bessel_k_imag(t, v) == float(specfun.k_imag_scaled(t, [v])[0])
+        assert specfun.bessel_k_imag(t, v) == pytest.approx(k[i], rel=1e-13)
+        assert specfun.bessel_y_imag_pair(t, v) == pytest.approx(
+            2 * math.cosh(math.pi * t) * ratio[i], rel=1e-13)
+    param = ArchimedeanParameter.maass(t)
+    w = 4 * math.pi * y
+    plus = specfun.y_pair_ratio(t, w)
+    for i, v in enumerate(y):
+        assert specfun.voronoi_kernel(param, "+", v) == pytest.approx(
+            2 * math.pi * plus[i], rel=1e-13, abs=1e-15)
 
 
 def test_bessel_y_imag_pair_real_and_t_zero():
