@@ -2,18 +2,21 @@
 
 Characters are stored per prime component by the exponent of the image of a fixed
 primitive root, so multiplication, conjugation and evaluation are exact rational-angle
-arithmetic; floats appear only when a complex value is finally requested.
+arithmetic; floats appear only when a complex value is finally requested.  Evaluation
+reads a discrete-log table built once per prime (`log_table`), for one unit or for a
+whole numpy array of units at once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import sympy
-from sympy.ntheory.residue_ntheory import discrete_log
 
 #: Best known progress towards the Ramanujan bound for Hecke eigenvalues.
 THETA = Fraction(7, 64)
@@ -81,23 +84,33 @@ class DirichletCharacter:
 
     # -- exact evaluation ------------------------------------------------
 
+    def _components(self) -> list[tuple[int, int]]:
+        """(p, m_p) for every odd prime p | N whose component is non-trivial."""
+        return [(p, m) for p in self.modulus.prime_factors
+                if p != 2 and (m := self.component_exponents.get(p, 0))]
+
+    def order(self) -> int:
+        """The order of chi: the lcm of (p-1)/gcd(m_p, p-1) over its components."""
+        return math.lcm(*((p - 1) // math.gcd(m, p - 1) for p, m in self._components()))
+
+    def angle_numerators(self, units, L: int):
+        """Exact integers k in [0, L) with chi(a) = e(k/L), for a non-negative unit
+        a mod N or an int64 array of them.  L must be a multiple of the order below
+        2^62, so that every intermediate product stays exact in int64."""
+        k = 0
+        for p, m in self._components():
+            g = math.gcd(m, p - 1)
+            o = (p - 1) // g
+            k = (k + (m // g) * log_table(p)[units % p] % o * (L // o)) % L
+        return k
+
     def angle(self, a: int) -> Fraction | None:
         """Exact rational x in [0,1) with chi(a) = e(x), or None if gcd(a, N) > 1."""
         n = self.modulus.value
-        a = a % n if n > 1 else 1
-        if n > 1 and math.gcd(a, n) > 1:
+        if math.gcd(a, n) > 1:
             return None
-        total = Fraction(0)
-        for p in self.modulus.prime_factors:
-            if p == 2:
-                continue
-            m = self.component_exponents.get(p, 0)
-            if m == 0:
-                continue
-            g = sympy.primitive_root(p)
-            idx = discrete_log(p, a % p, g)
-            total += Fraction(m * idx, p - 1)
-        return total - math.floor(total)
+        order = self.order()
+        return Fraction(int(self.angle_numerators(a % n, order)), order)
 
     def __call__(self, a: int) -> complex:
         x = self.angle(a)
@@ -155,8 +168,25 @@ def enumerate_characters(n: int, even_only: bool = False):
     yield from rec(0, {})
 
 
-def char_eval(chi: DirichletCharacter, a: int) -> complex:
-    return chi(a)
+@functools.lru_cache(maxsize=16)
+def log_table(p: int) -> np.ndarray:
+    """Read-only discrete logarithms mod an odd prime p to the base
+    g = sympy.primitive_root(p), the generator the character exponents refer to:
+    entry a (0 < a < p) is the k in [0, p-1) with g^k = a mod p.  The powers of g
+    are built by doubling, each step multiplying the known block by g^k."""
+    g = sympy.primitive_root(p)
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0] = 1
+    k, gk = 1, g
+    while k < p - 1:
+        step = min(k, p - 1 - k)
+        powers[k:k + step] = powers[:step] * gk % p
+        k += step
+        gk = gk * gk % p
+    table = np.zeros(p, dtype=np.int64)
+    table[powers] = np.arange(p - 1)
+    table.flags.writeable = False
+    return table
 
 
 def mod_inverse(a: int, c: int) -> int:

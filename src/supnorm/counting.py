@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import sympy
 
-from .arithmetic import SquarefreeModulus, mod_inverse, p_adic_valuation
+from .arithmetic import SquarefreeModulus, p_adic_valuation
 from .oscillatory import RationalApproximation
 
 
@@ -181,11 +182,17 @@ def count_admissible_a(inst: CongruenceReductionInstance,
     congruence_violations = []
     valuation_violations = []
     g = math.gcd(inst.c, math.gcd(inst.l1, inst.l2))
-    c_primes = _prime_factors(inst.c)
+    # per prime p | c, the power p^need that must divide a non-zero s
+    divisors = []
+    for p in sorted(sympy.factorint(inst.c)):
+        vl1, vl2, vc = (p_adic_valuation(x, p) for x in (inst.l1, inst.l2, inst.c))
+        need = min(vl1 + vl2 - vc, vl1, vl2, vc)
+        if need > 0:
+            divisors.append((p, p ** need))
     for a in range(1, m + 1):
         if math.gcd(a, m) != 1:
             continue
-        abar = mod_inverse(a, m)
+        abar = pow(a, -1, m)
         r1 = _centered((inst.l1 * abar - inst.d1 * inst.u * inst.c) % m, m)
         r2 = _centered((-inst.l2 * a - inst.d2 * inst.u * inst.c) % m, m)
         if abs(r1) > inst.R1 or abs(r2) > inst.R2:
@@ -202,15 +209,8 @@ def count_admissible_a(inst: CongruenceReductionInstance,
             valuation_violations.append((a, r1, r2, "c does not divide r1*r2 + l1*l2"))
             continue
         if s != 0:
-            for p in c_primes:
-                need = min(
-                    p_adic_valuation(inst.l1, p) + p_adic_valuation(inst.l2, p)
-                    - p_adic_valuation(inst.c, p),
-                    p_adic_valuation(inst.l1, p),
-                    p_adic_valuation(inst.l2, p),
-                    p_adic_valuation(inst.c, p),
-                )
-                if p_adic_valuation(s, p) < need:
+            for p, pk in divisors:
+                if s % pk:
                     valuation_violations.append((a, r1, r2, p))
     return {
         "num_a": num_a,
@@ -220,20 +220,6 @@ def count_admissible_a(inst: CongruenceReductionInstance,
         "congruence_violations": congruence_violations,
         "valuation_violations": valuation_violations,
     }
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

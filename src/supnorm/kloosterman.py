@@ -1,18 +1,35 @@
-"""Twisted Kloosterman sums S_chi(m, n; c) by direct summation over units mod c.
+"""Twisted Kloosterman sums S_chi(m, n; c) = sum over units a mod c of
+conj(chi(a)) e((m abar + n a)/c), in one vectorised pass over the units.
 
-Direct O(c) summation is deliberate: at desk scale (c <= 10^6) it is fast enough and
-serves as the oracle that the oscillatory and counting modules trust.  Each term's
-phase is reduced as an exact rational before the single complex exponential, so no
-precision drifts in at large arguments.
+The sum is O(c) on purpose: it is the exact reference that the oscillatory and
+counting modules trust, and it stays fast at desk scale (c <= 10^6).
+
+- Units come from a boolean sieve over the prime factors of c.
+- Their inverses come from Montgomery batch inversion on a product tree:
+  pairwise products mod c up the tree, one modular inverse of the root, and
+  products back down.  This needs no factorisation of the unit group, so
+  square-free and other c take the same path.
+- Each term's phase is an exact integer k mod L = lcm(c, ord chi): the additive
+  part scaled by L/c, minus the character's angle numerators, which
+  `DirichletCharacter.angle_numerators` reads from cached discrete-log tables.
+  Each term is then rounded to a float once, in e(k/L), taken as cos and sin
+  of 2 pi (k/L) (numpy's complex exp was about 1.5 times slower).
+- Residues are processed in blocks of at most `_BLOCK`, so peak memory does not
+  grow with c.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arithmetic import DirichletCharacter, e, mod_inverse
+import numpy as np
+import sympy
+
+from .arithmetic import DirichletCharacter
+
+_BLOCK = 2 ** 14    # residues a per block; peak memory stays near 1 MiB
+_MAX_C = 2 ** 31    # below it every phase product is under c^2 < 2^62, exact in int64
 
 
 @dataclass(frozen=True)
@@ -23,8 +40,8 @@ class KloostermanQuery:
     chi: DirichletCharacter
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 1 <= self.c < _MAX_C:
+            raise ValueError(f"c must be in [1, 2^31), got {self.c}")
         if self.c % self.chi.modulus.value != 0:
             raise ValueError(
                 f"character modulus {self.chi.modulus.value} does not divide c={self.c}; "
@@ -32,39 +49,54 @@ class KloostermanQuery:
             )
 
 
+def _unit_blocks(c: int, primes):
+    """The units mod c in increasing order, in blocks of at most _BLOCK residues."""
+    for lo in range(0, c, _BLOCK):
+        keep = np.ones(min(_BLOCK, c - lo), dtype=bool)
+        for p in primes:
+            keep[-lo % p::p] = False
+        units = np.flatnonzero(keep) + lo
+        if len(units):
+            yield units
+
+
+def _batch_inverse(x: np.ndarray, c: int) -> np.ndarray:
+    """Inverses mod c of the non-empty int64 array of units x, with a single
+    modular inverse: up a product tree (odd levels padded with 1), invert the
+    root, and give each node its parent's inverse times its sibling."""
+    tree = [x]
+    while len(tree[-1]) > 1:
+        if len(tree[-1]) % 2:
+            tree[-1] = np.append(tree[-1], 1)
+        tree.append(tree[-1][0::2] * tree[-1][1::2] % c)
+    inv = np.array([pow(int(tree[-1][0]), -1, c)], dtype=np.int64)
+    for level in reversed(tree[:-1]):
+        parent = inv[:len(level) // 2]
+        inv = np.empty_like(level)
+        inv[0::2] = parent * level[1::2] % c
+        inv[1::2] = parent * level[0::2] % c
+    return inv[:len(x)]
+
+
 def kloosterman_sum(q: KloostermanQuery) -> complex:
     m, n, c, chi = q.m, q.n, q.c, q.chi
     if c == 1:
         return 1 + 0j
-    twisted = not chi.is_trivial()
+    order = chi.order()
+    L = math.lcm(c, order)
     total = 0j
-    for a in range(1, c):
-        if math.gcd(a, c) != 1:
-            continue
-        abar = mod_inverse(a, c)
-        phase = Fraction((m * abar + n * a) % c, c)
-        if twisted:
+    for a in _unit_blocks(c, sympy.factorint(c)):
+        k = (m % c * _batch_inverse(a, c) + n % c * a) % c * (L // c)
+        if order > 1:
             # a is a unit mod c, hence mod N | c; conjugate character: subtract the angle
-            phase -= chi.angle(a)
-        total += e(phase)
+            k = (k - chi.angle_numerators(a, L)) % L
+        theta = 2 * np.pi * (k / L)
+        total += complex(np.cos(theta).sum(), np.sin(theta).sum())
     return total
 
 
 def divisor_count(c: int) -> int:
-    cnt = 1
-    d = 2
-    n = c
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            cnt *= k + 1
-        d += 1
-    if n > 1:
-        cnt *= 2
-    return cnt
+    return math.prod(k + 1 for k in sympy.factorint(c).values())
 
 
 def kloosterman_weil_check(q: KloostermanQuery) -> dict:

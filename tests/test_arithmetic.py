@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,3 +133,33 @@ def test_p_adic_valuation_rejects_zero_and_composite():
 def test_primes_in_interval_excludes_modulus():
     assert primes_in_interval(2, 20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_in_interval(2, 20, SquarefreeModulus.from_int(15)) == [2, 7, 11, 13, 17, 19]
+
+
+def _smallest_primitive_root(p):
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % r for r in range(2, q))]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101, 409, 1009])
+def test_angle_matches_power_table(p):
+    # chi(g^k) = e(m k / (p - 1)) for the smallest primitive root g mod p
+    g = _smallest_primitive_root(p)
+    index = {pow(g, k, p): k for k in range(p - 1)}
+    for m in sorted({1, (p - 1) // 2, p - 2, (7 * p) % (p - 1)}):
+        chi = DirichletCharacter(SquarefreeModulus.from_int(p), {p: m})
+        for a in range(1, p):
+            want = Fraction(m * index[a] % (p - 1), p - 1)
+            assert chi.angle(a) == want, (p, m, a)
+            assert chi.angle(a - 3 * p) == want
+        assert chi.angle(5 * p) is None
+
+
+def test_angle_numerators_match_angle():
+    mod = SquarefreeModulus.from_int(210)
+    chi = DirichletCharacter(mod, {3: 1, 5: 2, 7: 5})
+    assert chi.order() == 6
+    units = np.array([a for a in range(210) if math.gcd(a, 210) == 1], dtype=np.int64)
+    L = 7 * chi.order()
+    k = chi.angle_numerators(units, L)
+    assert [Fraction(int(x), L) for x in k] == [chi.angle(int(a)) for a in units]
+    assert DirichletCharacter.trivial(210).order() == 1

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from supnorm import kloosterman
 from supnorm.arithmetic import DirichletCharacter, enumerate_characters
 from supnorm.kloosterman import (
     KloostermanQuery,
@@ -91,3 +94,75 @@ def test_weil_gcd_factor():
     # m = n = 0 gives Ramanujan sum phi(c) <= tau(c) sqrt(c) sqrt(c)
     rep = kloosterman_weil_check(KloostermanQuery(0, 0, 36, TRIVIAL))
     assert rep["ratio"] <= 1.0
+
+
+# -- independent oracles for the vectorised engine ---------------------------
+
+def _legendre(a, p):
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_rejects_c_beyond_int64_phases():
+    with pytest.raises(ValueError):
+        KloostermanQuery(1, 1, 2 ** 31, TRIVIAL)
+
+
+def test_weil_bound_at_primes():
+    # |S(m, n; p)| <= 2 sqrt(p) for every prime p not dividing mn
+    primes = list(sympy.primerange(3, 20_000))
+    for i, p in enumerate(primes[::10] + primes[-3:]):
+        m, n = 1 + i % 47, -(2 + i % 31)
+        assert abs(kloosterman_sum(KloostermanQuery(m, n, p, TRIVIAL))) <= 2 * math.sqrt(p) + 1e-9
+
+
+def test_legendre_twist_matches_salie():
+    # Salie: S_chi(m, n; p) = eps_p sqrt(p) (n/p) sum_{y^2 = 4mn mod p} e(y/p)
+    primes = list(sympy.primerange(3, 10_000))
+    for i, p in enumerate(primes[::10] + primes[-3:]):
+        m, n = (1 + i % 41) * (-1) ** i, 3 + i % 29
+        if (m * n) % p == 0:
+            continue
+        y = np.arange(p)
+        roots = y[(y * y - 4 * m * n) % p == 0]
+        eps = 1 if p % 4 == 1 else 1j
+        closed = eps * math.sqrt(p) * _legendre(n, p) * np.exp(2j * np.pi * roots / p).sum()
+        chi = DirichletCharacter.quadratic(p)
+        assert abs(kloosterman_sum(KloostermanQuery(m, n, p, chi)) - closed) < 1e-9 * math.sqrt(p)
+
+
+@pytest.mark.parametrize("big_n, n1, k1, k2", [(105, 15, 4, 11), (105, 7, 2, 13), (231, 3, 8, 5),
+                                                (231, 77, 1, 9)])
+def test_twisted_multiplicativity(big_n, n1, k1, k2):
+    # c = c1 c2 coprime, chi = chi1 chi2 with chi_i mod N_i | c_i:
+    # S_chi(m, n; c) = conj(chi1(c2) chi2(c1)) S_chi1(m c2bar^2, n; c1) S_chi2(m c1bar^2, n; c2)
+    n2 = big_n // n1
+    c1, c2 = n1 * k1, n2 * k2
+    chars = list(enumerate_characters(big_n))
+    for i, chi in enumerate(chars[1::len(chars) // 8]):
+        m, n = (-1) ** i * (5 + 7 * i), 3 * i - 11
+        chi1, chi2 = chi.restrict(n1), chi.restrict(n2)
+        c2bar, c1bar = pow(c2, -1, c1), pow(c1, -1, c2)
+        whole = kloosterman_sum(KloostermanQuery(m, n, c1 * c2, chi))
+        parts = ((chi1(c2) * chi2(c1)).conjugate()
+                 * kloosterman_sum(KloostermanQuery(m * c2bar ** 2, n, c1, chi1))
+                 * kloosterman_sum(KloostermanQuery(m * c1bar ** 2, n, c2, chi2)))
+        assert abs(whole - parts) < 1e-9 * math.sqrt(c1 * c2), (chi.component_exponents, m, n)
+
+
+@pytest.mark.parametrize("c", [8, 9, 25, 27, 36, 50, 72, 2 ** 10])
+@pytest.mark.parametrize("m, n", [(1, 2), (-3, 5), (-7, -4), (3 * 1031, -2 * 1031 - 1)])
+def test_matches_brute_force_at_non_squarefree_c(c, m, n):
+    for chi in enumerate_characters(math.gcd(c, 15)):
+        q = KloostermanQuery(m, n, c, chi)
+        assert abs(kloosterman_sum(q) - brute_force(m, n, c, chi)) < 1e-9, chi.component_exponents
+
+
+def test_sum_does_not_depend_on_block_size(monkeypatch):
+    chi = next(ch for ch in enumerate_characters(105) if all(ch.component_exponents.values()))
+    queries = [KloostermanQuery(2, -9, c, TRIVIAL) for c in (97, 210, 1024, 4099)]
+    queries += [KloostermanQuery(-4, 13, 105 * k, chi) for k in (1, 4, 11)]
+    whole = [kloosterman_sum(q) for q in queries]
+    monkeypatch.setattr(kloosterman, "_BLOCK", 7)
+    for q, w in zip(queries, whole):
+        assert abs(kloosterman_sum(q) - w) < 1e-9, q
