@@ -54,10 +54,6 @@ class HeckeSystem:
         return val
 
 
-def hecke_extend(sys: HeckeSystem, n: int) -> complex:
-    return sys.eigenvalue(n)
-
-
 def multiplicativity_defect(sys: HeckeSystem, m: int, n: int) -> float:
     """|lambda(m) lambda(n) - sum_{d | (m,n)} chi(d) lambda(m n / d^2)|."""
     g = math.gcd(m, n)

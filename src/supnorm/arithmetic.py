@@ -189,14 +189,6 @@ def log_table(p: int) -> np.ndarray:
     return table
 
 
-def mod_inverse(a: int, c: int) -> int:
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    if math.gcd(a, c) != 1:
-        raise ValueError(f"{a} is not invertible mod {c}")
-    return pow(a, -1, c)
-
-
 def p_adic_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is undefined")

@@ -23,7 +23,7 @@ import click
 
 from . import amplifier as amp_mod
 from . import counting, exponents, kloosterman, oscillatory, specfun, transforms, verify
-from .arithmetic import DirichletCharacter, SquarefreeModulus
+from .arithmetic import DirichletCharacter, SquarefreeModulus, primes_in_interval
 
 CONFIG_ENV_VAR = "SUPNORM_CONFIG"
 
@@ -184,28 +184,17 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
               help="CSV path (atomic); stdout otherwise.")
 def bessel_verify_cmd(output):
     """Run the special-function property grid; CSV of (property, constant, limit)."""
-    rep = verify.sweep_specfun()
-    rows = [
-        ("derivative-recurrences", rep["recurrence_max_error"], 1e-6),
-        ("integration-by-parts", rep["ibp_max_rel_error"], 1e-7),
-        ("bessel-j-shape", rep["bessel_j_constant"], 50.0),
-        ("bessel-k-shape", rep["bessel_k_constant"], 50.0),
-        ("whittaker-shape", rep["whittaker_constant"], 50.0),
-        ("transition-bound", rep["transition_constant"], 50.0),
-    ]
+    rows = verify.specfun_rows(verify.sweep_specfun())
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["property", "constant", "limit", "passed"])
-    ok = True
-    for name, const, limit in rows:
-        passed = const <= limit
-        ok = ok and passed
+    for name, const, limit, passed in rows:
         writer.writerow([name, repr(float(const)), repr(limit), passed])
     if output:
         _atomic_write(buf.getvalue(), output)
     else:
         click.echo(buf.getvalue(), nl=False)
-    if not ok:
+    if not all(passed for *_, passed in rows):
         sys.exit(EXIT_FAILURE)
 
 
@@ -434,9 +423,9 @@ def amplifier_cmd(l_len, n_level, seed, is_variant, output):
     rng = random.Random(seed)
     mod = SquarefreeModulus.from_int(n_level)
     chi = DirichletCharacter.trivial(n_level)
-    primes = [p for p in range(2, int(4 * l_len) + 2) if all(p % d for d in range(2, p))]
-    sys_ = amp_mod.HeckeSystem(chi, {p: rng.uniform(-2, 2) for p in primes})
     try:
+        primes = primes_in_interval(2, 4 * l_len + 1)
+        sys_ = amp_mod.HeckeSystem(chi, {p: rng.uniform(-2, 2) for p in primes})
         build = amp_mod.build_is_amplifier if is_variant else amp_mod.build_amplifier
         amp = build(sys_, l_len, mod)
     except ValueError as exc:
@@ -491,8 +480,11 @@ def optimize_hybrid_cmd(output):
 @output_option
 def verify_cmd(selector, seed, config_path, fmt, output):
     """Run the deterministic property suite; exit 1 if any property fails."""
-    cfg = verify.load_config(config_path, seed=seed, output_format=fmt,
-                             output_path=output)
+    try:
+        cfg = verify.load_config(config_path, seed=seed, output_format=fmt,
+                                 output_path=output)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     report = verify.run_verify(cfg, selector)
     if cfg.output_format == "csv":
         buf = io.StringIO()

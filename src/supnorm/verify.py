@@ -1,8 +1,15 @@
-"""Property-suite driver: randomized sweeps and exact checks over every module,
-with one record per property (instances run, fitted constant, pinned limit,
-pass/fail).  The CLI `verify` subcommand and the acceptance tests both call
-these sweep functions; the sweep sizes here are chosen so a full run stays
-interactive."""
+"""Property-suite driver: one record per property of the paper's constructive
+steps (instances run, fitted constant, pinned limit, pass/fail).
+
+`PROPERTIES` is the registry, an ordered table with one `Property` entry per
+property.  An entry runs its sweep on an rng seeded from the run seed and its
+id, reads the fitted constant and the side conditions (oracle agreement,
+tolerances, decay slopes) off the sweep's detail, and passes when the fitted
+constant is at most its limit and every side condition holds.  Each limit and
+tolerance lives only here: `run_verify`, the CLI's `verify` and
+`bessel verify` all read this table.  Adding a property means adding one
+entry.  The acceptance tests call the sweeps with larger sizes and keep their
+own literal limits; the sweep sizes here keep a full run interactive."""
 
 from __future__ import annotations
 
@@ -10,8 +17,9 @@ import fnmatch
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import sympy
@@ -24,15 +32,17 @@ from .arithmetic import DirichletCharacter, SquarefreeModulus, enumerate_charact
 @dataclass
 class RunConfig:
     seed: int = 0
-    quadrature_rel_tol: float = 1e-6
     box_limit: int = counting.BOX_LIMIT
     output_format: str = "json"
     output_path: str | None = None
-    overrides: dict = field(default_factory=dict)
+
+
+_CONFIG_KEYS = {"seed": int, "box_limit": int, "output_format": str, "output_path": str}
 
 
 def load_config(path: str | None, **flag_overrides) -> RunConfig:
-    """Flat key=value file, then flag overrides on top."""
+    """Flat key=value file, then flag overrides on top.  Raises ValueError,
+    naming the key, for an unknown key or a value that does not parse."""
     cfg = RunConfig()
     if path:
         with open(path) as fh:
@@ -41,20 +51,15 @@ def load_config(path: str | None, **flag_overrides) -> RunConfig:
                 if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key == "seed":
-                    cfg.seed = int(value)
-                elif key == "quadrature_rel_tol":
-                    cfg.quadrature_rel_tol = float(value)
-                elif key == "box_limit":
-                    cfg.box_limit = int(value)
-                elif key == "output_format":
-                    cfg.output_format = value
-                elif key == "output_path":
-                    cfg.output_path = value
-                else:
-                    cfg.overrides[key] = value
+                key, value = key.strip(), value.strip()
+                if key not in _CONFIG_KEYS:
+                    raise ValueError(f"unknown config key {key!r} in {path}; "
+                                     f"accepted: {', '.join(_CONFIG_KEYS)}")
+                try:
+                    setattr(cfg, key, _CONFIG_KEYS[key](value))
+                except ValueError:
+                    raise ValueError(f"bad value {value!r} for config key {key!r} "
+                                     f"in {path}") from None
     for key, value in flag_overrides.items():
         if value is not None:
             setattr(cfg, key, value)
@@ -193,15 +198,19 @@ def sweep_matrices(rng: random.Random, n_instances: int = 50,
         split = counting.matrix_count_split(inst)
         ubound_const = max(ubound_const, split["M0"] / counting.ubound_value(inst))
         done += 1
-    # geometric-sum shape on a small fixed sweep
+    return {"instances": done, "all_equal": all_equal,
+            "ubound_constant": ubound_const, **sweep_geometric()}
+
+
+def sweep_geometric() -> dict:
+    """Geometric-sum shape on a small fixed sweep; it draws no random numbers."""
     geom_const = 0.0
     for t_kernel in (4.0, 16.0, 64.0):
         for n, nval, y in ((2, 3, 0.8), (5, 2, 1.2), (12, 5, 0.6)):
             inst = counting.MatrixCountInstance(x=0.3, y=y, n=n,
                                                 N=SquarefreeModulus.from_int(nval), delta=4.0)
             geom_const = max(geom_const, counting.geometric_sum(inst, t_kernel)["ratio"])
-    return {"instances": done, "all_equal": all_equal,
-            "ubound_constant": ubound_const, "geometric_constant": geom_const}
+    return {"geometric_constant": geom_const}
 
 
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -336,92 +345,85 @@ def sweep_kloosterman(rng: random.Random, n_instances: int = 40) -> dict:
 # the property registry and driver
 # ---------------------------------------------------------------------------
 
-PINNED_LIMITS = {
-    "transforms/closed-vs-quadrature": 1e-6,
-    "transforms/positivity": 1.0,
-    "exponents/reproduction": 1.0,
-    "counting/box-bounds": 1e4,
-    "counting/congruence-reduction": 0.0,
-    "counting/matrices-ubound": 100.0,
-    "counting/matrices-geometric": 1e3,
-    "amplifier/diagonal": 1e-9,
-    "specfun/grid": 50.0,
-    "oscillatory/poisson-decay": 100.0,
-    "oscillatory/kernel-integrals": 50.0,
-    "oscillatory/partition": 1e-12,
-    "kloosterman/weil-reference": 1.0,
-}
+@dataclass(frozen=True)
+class Property:
+    """One verify property.  `run(rng)` returns the sweep's detail,
+    `fitted(detail)` its fitted constant and `ok(detail)` whether its side
+    conditions hold; it passes when fitted <= limit and ok(detail)."""
+    id: str
+    limit: float
+    run: Callable[[random.Random], dict]
+    fitted: Callable[[dict], float]
+    ok: Callable[[dict], bool] = lambda rep: True
+
+    def record(self, rep: dict) -> dict:
+        fitted = self.fitted(rep)
+        return {"id": self.id, "fitted_constant": fitted, "limit": self.limit,
+                "passed": bool(fitted <= self.limit and self.ok(rep)), "detail": rep}
 
 
-def _run_property(prop_id: str, rng: random.Random) -> dict:
-    limit = PINNED_LIMITS[prop_id]
-    if prop_id == "transforms/closed-vs-quadrature":
-        rep = sweep_transforms()
-        fitted = max(rep["max_rel_dot"], rep["max_rel_tilde"])
-        passed = fitted <= limit
-    elif prop_id == "transforms/positivity":
-        rep = check_positivity()
-        fitted = 0.0 if rep["all_positive"] else math.inf
-        passed = rep["all_positive"]
-    elif prop_id == "exponents/reproduction":
-        rep = check_exponents()
-        fitted = 0.0 if rep["all_exact"] else math.inf
-        passed = rep["all_exact"]
-    elif prop_id == "counting/box-bounds":
-        rep = sweep_lemma10(rng)
-        fitted = rep["fitted_constant"]
-        passed = rep["dual_oracle_ok"] and fitted <= limit
-    elif prop_id == "counting/congruence-reduction":
-        rep = sweep_congruence(rng)
-        fitted = float(rep["violations"])
-        passed = rep["violations"] == 0 and rep["multiplicity_ok"]
-    elif prop_id == "counting/matrices-ubound":
-        rep = sweep_matrices(rng)
-        fitted = rep["ubound_constant"]
-        passed = rep["all_equal"] and fitted <= limit
-    elif prop_id == "counting/matrices-geometric":
-        rep = sweep_matrices(rng, n_instances=5)
-        fitted = rep["geometric_constant"]
-        passed = fitted <= limit
-    elif prop_id == "amplifier/diagonal":
-        rep = sweep_amplifier(rng)
-        fitted = rep["max_rel_error"]
-        passed = fitted <= limit and rep["symbolic_exact"]
-    elif prop_id == "specfun/grid":
-        rep = sweep_specfun()
-        fitted = max(rep["bessel_j_constant"], rep["bessel_k_constant"],
-                     rep["whittaker_constant"], rep["transition_constant"])
-        passed = (fitted <= limit and rep["recurrence_max_error"] < 1e-6
-                  and rep["ibp_max_rel_error"] < 1e-7)
-    elif prop_id == "oscillatory/poisson-decay":
-        rep = sweep_lemma4()
-        fitted = max(rep["C2"], rep["C3"])
-        passed = fitted <= limit and rep["slopes"][2] <= -1.8 and rep["slopes"][3] <= -2.8
-    elif prop_id == "oscillatory/kernel-integrals":
-        rep = sweep_kernel_integrals()
-        fitted = max(rep["bound1_constant"], rep["bound2_constant"])
-        passed = fitted <= limit
-    elif prop_id == "oscillatory/partition":
-        rep = check_partition()
-        fitted = rep["max_deviation"]
-        passed = fitted <= limit
-    elif prop_id == "kloosterman/weil-reference":
-        rep = sweep_kloosterman(rng)
-        fitted = rep["max_ratio_squarefree_trivial"]
-        passed = fitted <= limit
-    else:
-        raise ValueError(f"unknown property {prop_id!r}")
-    return {"id": prop_id, "fitted_constant": fitted, "limit": limit,
-            "passed": bool(passed), "detail": rep}
+# `specfun/grid` rows of `bessel verify`: tolerances, which hold strictly, and
+# shape constants, whose maximum is the property's fitted constant.
+SPECFUN_TOLERANCES = (("derivative-recurrences", "recurrence_max_error", 1e-6),
+                      ("integration-by-parts", "ibp_max_rel_error", 1e-7))
+SPECFUN_SHAPES = (("bessel-j-shape", "bessel_j_constant"),
+                  ("bessel-k-shape", "bessel_k_constant"),
+                  ("whittaker-shape", "whittaker_constant"),
+                  ("transition-bound", "transition_constant"))
+
+
+def specfun_rows(rep: dict) -> list[tuple[str, float, float, bool]]:
+    """(name, value, limit, passed) per condition of `specfun/grid`, judged
+    as the property judges it."""
+    limit = PROPERTIES["specfun/grid"].limit
+    return ([(name, rep[key], tol, rep[key] < tol) for name, key, tol in SPECFUN_TOLERANCES]
+            + [(name, rep[key], limit, rep[key] <= limit) for name, key in SPECFUN_SHAPES])
+
+
+PROPERTIES = {prop.id: prop for prop in (
+    Property("transforms/closed-vs-quadrature", 1e-6, lambda rng: sweep_transforms(),
+             lambda rep: max(rep["max_rel_dot"], rep["max_rel_tilde"])),
+    Property("transforms/positivity", 1.0, lambda rng: check_positivity(),
+             lambda rep: 0.0 if rep["all_positive"] else math.inf,
+             lambda rep: rep["all_positive"]),
+    Property("exponents/reproduction", 1.0, lambda rng: check_exponents(),
+             lambda rep: 0.0 if rep["all_exact"] else math.inf,
+             lambda rep: rep["all_exact"]),
+    Property("counting/box-bounds", 1e4, sweep_lemma10,
+             lambda rep: rep["fitted_constant"],
+             lambda rep: rep["dual_oracle_ok"]),
+    Property("counting/congruence-reduction", 0.0, sweep_congruence,
+             lambda rep: float(rep["violations"]),
+             lambda rep: rep["multiplicity_ok"]),
+    Property("counting/matrices-ubound", 100.0, sweep_matrices,
+             lambda rep: rep["ubound_constant"],
+             lambda rep: rep["all_equal"]),
+    Property("counting/matrices-geometric", 1e3, lambda rng: sweep_geometric(),
+             lambda rep: rep["geometric_constant"]),
+    Property("amplifier/diagonal", 1e-9, sweep_amplifier,
+             lambda rep: rep["max_rel_error"],
+             lambda rep: rep["symbolic_exact"]),
+    Property("specfun/grid", 50.0, lambda rng: sweep_specfun(),
+             lambda rep: max(rep[key] for _, key in SPECFUN_SHAPES),
+             lambda rep: all(rep[key] < tol for _, key, tol in SPECFUN_TOLERANCES)),
+    Property("oscillatory/poisson-decay", 100.0, lambda rng: sweep_lemma4(),
+             lambda rep: max(rep["C2"], rep["C3"]),
+             lambda rep: rep["slopes"][2] <= -1.8 and rep["slopes"][3] <= -2.8),
+    Property("oscillatory/kernel-integrals", 50.0, lambda rng: sweep_kernel_integrals(),
+             lambda rep: max(rep["bound1_constant"], rep["bound2_constant"])),
+    Property("oscillatory/partition", 1e-12, lambda rng: check_partition(),
+             lambda rep: rep["max_deviation"]),
+    Property("kloosterman/weil-reference", 1.0, sweep_kloosterman,
+             lambda rep: rep["max_ratio_squarefree_trivial"]),
+)}
 
 
 def run_verify(config: RunConfig, selector: str = "*") -> dict:
     records = []
-    for prop_id in PINNED_LIMITS:
-        if not fnmatch.fnmatch(prop_id, selector):
-            continue
-        rng = random.Random(config.seed ^ zlib.crc32(prop_id.encode()))
-        records.append(_run_property(prop_id, rng))
+    for prop in PROPERTIES.values():
+        if fnmatch.fnmatch(prop.id, selector):
+            rng = random.Random(config.seed ^ zlib.crc32(prop.id.encode()))
+            records.append(prop.record(prop.run(rng)))
     return {
         "version": 1,
         "seed": config.seed,

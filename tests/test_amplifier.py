@@ -44,11 +44,6 @@ def test_multiplicativity_defect_vanishes():
         assert amplifier.multiplicativity_defect(sys_, m, n) < 1e-12
 
 
-def test_hecke_extend_alias():
-    sys_ = _system(3)
-    assert amplifier.hecke_extend(sys_, 12) == sys_.eigenvalue(12)
-
-
 def test_build_amplifier_support():
     sys_ = _system(0, modulus=5)
     amp = amplifier.build_amplifier(sys_, 10.0, SquarefreeModulus.from_int(5))

@@ -11,7 +11,6 @@ from supnorm.arithmetic import (
     THETA,
     e,
     enumerate_characters,
-    mod_inverse,
     p_adic_valuation,
     primes_in_interval,
 )
@@ -100,19 +99,6 @@ def test_restrict_to_divisor():
     assert int(part.modulus) == 5
     with pytest.raises(ValueError):
         chi.restrict(7)
-
-
-@given(st.integers(min_value=2, max_value=500))
-def test_mod_inverse(c):
-    for a in range(1, c):
-        if math.gcd(a, c) == 1:
-            assert a * mod_inverse(a, c) % c == 1
-            break
-
-
-def test_mod_inverse_rejects_non_units():
-    with pytest.raises(ValueError):
-        mod_inverse(6, 9)
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6),

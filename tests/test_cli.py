@@ -156,3 +156,21 @@ def test_verify_config_file(runner, tmp_path):
     res = runner.invoke(main, ["verify", "--selector", "transforms/positivity",
                                "--config", str(cfg)])
     assert json.loads(res.output)["seed"] == 9
+
+
+def test_verify_config_rejects_unknown_key(runner, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed = 9\nquadrature_rel_tol = 1e-6\n")
+    res = runner.invoke(main, ["verify", "--selector", "transforms/positivity",
+                               "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "quadrature_rel_tol" in res.output
+
+
+def test_verify_config_rejects_unparsable_value(runner, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed = abc\n")
+    res = runner.invoke(main, ["verify", "--selector", "transforms/positivity",
+                               "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "'seed'" in res.output and "'abc'" in res.output
