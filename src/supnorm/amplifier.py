@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import sympy
 
-from .arithmetic import DirichletCharacter, SquarefreeModulus, e, primes_in_interval
+from .arithmetic import DirichletCharacter, SquarefreeModulus, primes_in_interval
 
 
 class HeckeSystem:
@@ -70,6 +70,16 @@ class Amplifier:
     coefficients: dict = field(hash=False)
 
 
+def _amplifier_on(sys: HeckeSystem, L: float, primes: list[int]) -> Amplifier:
+    chibar = sys.chi.conjugate()
+    coeffs = {}
+    for p in primes:
+        coeffs[p] = sys.eigenvalue(p) * chibar(p)
+        coeffs[p * p] = -chibar(p)
+    return Amplifier(L=float(L), lambda1=tuple(primes),
+                     lambda2=tuple(p * p for p in primes), coefficients=coeffs)
+
+
 def build_amplifier(sys: HeckeSystem, L: float, N: SquarefreeModulus) -> Amplifier:
     """Support: primes p in [L, 2L] with p coprime to N, plus their squares.
     Coefficients lambda(p) chibar(p) at p and -chibar(p) at p^2; the square
@@ -77,28 +87,14 @@ def build_amplifier(sys: HeckeSystem, L: float, N: SquarefreeModulus) -> Amplifi
     for every eigenvalue system."""
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
-    primes = primes_in_interval(L, 2 * L, N)
-    chibar = sys.chi.conjugate()
-    coeffs = {}
-    for p in primes:
-        coeffs[p] = sys.eigenvalue(p) * chibar(p)
-        coeffs[p * p] = -chibar(p)
-    return Amplifier(L=float(L), lambda1=tuple(primes),
-                     lambda2=tuple(p * p for p in primes), coefficients=coeffs)
+    return _amplifier_on(sys, L, primes_in_interval(L, 2 * L, N))
 
 
 def build_is_amplifier(sys: HeckeSystem, L: float, N: SquarefreeModulus) -> Amplifier:
     """Short variant: primes p <= sqrt(L) (so p^2 <= L), p coprime to N."""
     if L < 4:
         raise ValueError(f"need L >= 4, got {L}")
-    primes = primes_in_interval(2, math.sqrt(L), N)
-    chibar = sys.chi.conjugate()
-    coeffs = {}
-    for p in primes:
-        coeffs[p] = sys.eigenvalue(p) * chibar(p)
-        coeffs[p * p] = -chibar(p)
-    return Amplifier(L=float(L), lambda1=tuple(primes),
-                     lambda2=tuple(p * p for p in primes), coefficients=coeffs)
+    return _amplifier_on(sys, L, primes_in_interval(2, math.sqrt(L), N))
 
 
 def amplifier_diagonal_value(sys: HeckeSystem, amp: Amplifier) -> complex:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 property/check failure, 2 usage error, 3 resource cap.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -72,12 +73,37 @@ def _atomic_write(text: str, path: str) -> None:
         raise
 
 
-def _emit(payload, output: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+def _write(text: str, output: str | None) -> None:
     if output:
         _atomic_write(text, output)
     else:
         click.echo(text, nl=False)
+
+
+def _emit(payload, output: str | None) -> None:
+    _write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", output)
+
+
+def _emit_csv(header: list[str], rows, output: str | None) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(buf.getvalue(), output)
+
+
+@contextlib.contextmanager
+def _bad_input():
+    """The CLI's bad-input boundary: a library `ValueError` is a usage error
+    (exit 2, raised inside the callback so click prints the subcommand's usage
+    line), and a `BoxLimitError` is a resource cap (exit 3)."""
+    try:
+        yield
+    except counting.BoxLimitError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_RESOURCE)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _parse_char(spec: str | None) -> DirichletCharacter:
@@ -124,13 +150,10 @@ def main():
 @click.option("--char", "char_spec", default=None,
               help="Twisting character, 'trivial:N' or 'quadratic:p'.")
 @output_option
+@_bad_input()
 def kloosterman_cmd(m, n, c, char_spec, output):
     """Twisted Kloosterman sum with the reference square-root bound ratio."""
-    chi = _parse_char(char_spec)
-    try:
-        q = kloosterman.KloostermanQuery(m, n, c, chi)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    q = kloosterman.KloostermanQuery(m, n, c, _parse_char(char_spec))
     rep = kloosterman.kloosterman_weil_check(q)
     val = rep["value"]
     _emit({"re": val.real, "im": val.imag, "abs": abs(val),
@@ -147,6 +170,7 @@ def kloosterman_cmd(m, n, c, char_spec, output):
 @click.option("--y", type=float, default=None)
 @output_option
 @click.pass_context
+@_bad_input()
 def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
     """Evaluate one special function, or `bessel verify` for the full grid."""
     if ctx.invoked_subcommand is not None:
@@ -185,15 +209,9 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
 def bessel_verify_cmd(output):
     """Run the special-function property grid; CSV of (property, constant, limit)."""
     rows = verify.specfun_rows(verify.sweep_specfun())
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["property", "constant", "limit", "passed"])
-    for name, const, limit, passed in rows:
-        writer.writerow([name, repr(float(const)), repr(limit), passed])
-    if output:
-        _atomic_write(buf.getvalue(), output)
-    else:
-        click.echo(buf.getvalue(), nl=False)
+    _emit_csv(["property", "constant", "limit", "passed"],
+              [[name, repr(float(const)), repr(limit), passed]
+               for name, const, limit, passed in rows], output)
     if not all(passed for *_, passed in rows):
         sys.exit(EXIT_FAILURE)
 
@@ -205,14 +223,12 @@ def bessel_verify_cmd(output):
 @click.option("--t", type=float, default=None, help="Spectral parameter.")
 @click.option("--method", type=click.Choice(["closed", "quad", "both"]), default="both")
 @output_option
+@_bad_input()
 def transform_cmd(a_deg, b_deg, k, t, method, output):
     """Spectral transform of the test function, closed form and/or quadrature."""
     if (k is None) == (t is None):
         raise click.UsageError("exactly one of --k / --t is required")
-    try:
-        tf = transforms.TestFunction(a_deg, b_deg)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    tf = transforms.TestFunction(a_deg, b_deg)
     rep: dict = {"A": a_deg, "B": b_deg}
     closed = quad = None
     if k is not None:
@@ -241,13 +257,11 @@ def transform_cmd(a_deg, b_deg, k, t, method, output):
 @click.option("--x", required=True, help="Real number or fraction p/q.")
 @click.option("--h", "--H", "h_cap", type=float, required=True)
 @output_option
+@_bad_input()
 def approx_cmd(x, h_cap, output):
     """Continued-fraction rational approximation with denominator cap H."""
     value = _parse_rational(x) if "/" in x else float(x)
-    try:
-        r = oscillatory.dirichlet_approximate(value, h_cap)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    r = oscillatory.dirichlet_approximate(value, h_cap)
     _emit({"x": float(value), "a": r.a, "q": r.q, "H": r.H, "beta": r.beta}, output)
 
 
@@ -257,15 +271,12 @@ def approx_cmd(x, h_cap, output):
 @click.option("--alpha", required=True)
 @click.option("--j", type=int, default=2)
 @output_option
+@_bad_input()
 def decay_cmd(z_scale, t_scale, alpha, j, output):
     """Windowed exponential sum against the Z (T ||alpha||)^-j envelope."""
     aval = _parse_rational(alpha) if "/" in alpha else float(alpha)
-    try:
-        w = oscillatory.SmoothWindow(z_scale, t_scale)
-        rep = oscillatory.lemma4_decay_check(w, aval, j)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit(rep, output)
+    w = oscillatory.SmoothWindow(z_scale, t_scale)
+    _emit(oscillatory.lemma4_decay_check(w, aval, j), output)
 
 
 @main.command("vintegral")
@@ -277,6 +288,7 @@ def decay_cmd(z_scale, t_scale, alpha, j, output):
 @click.option("--t-scale", "--T", type=float, required=True)
 @click.option("--alpha", type=float, required=True)
 @output_option
+@_bad_input()
 def vintegral_cmd(kind, k, t, sign, z_scale, t_scale, alpha, output):
     """Window-against-kernel integral with both envelope ratios."""
     if kind == "holomorphic":
@@ -287,11 +299,8 @@ def vintegral_cmd(kind, k, t, sign, z_scale, t_scale, alpha, output):
         if t is None:
             raise click.UsageError("--t required for maass")
         param = specfun.ArchimedeanParameter.maass(t)
-    try:
-        w = oscillatory.SmoothWindow(z_scale, t_scale)
-        val = oscillatory.voronoi_integral(w, param, sign, alpha)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    w = oscillatory.SmoothWindow(z_scale, t_scale)
+    val = oscillatory.voronoi_integral(w, param, sign, alpha)
     rep = {"value": val, "bound1": oscillatory.lemma6_bound1(z_scale, param.t_star, alpha)}
     if alpha * math.sqrt(z_scale / 2) >= 2 * param.t_star:
         rep["bound2_j1"] = oscillatory.lemma6_bound2(z_scale, t_scale, param.t_star, alpha, 1)
@@ -333,21 +342,15 @@ def _apply(options, fn):
 
 def _make_count_command(name: str, which: str):
     @output_option
+    @_bad_input()
     def cmd(c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap, emit_elements, output):
-        try:
-            inst = _counting_instance(c_scale, s, r, r_tilde, d1, d2, u, n_level,
-                                      h_cap if h_cap is not None else float(n_level))
-            rep = counting.lemma10_bound_check(inst, which)
-            elements = (counting.enumerate_A(inst) if which == "plain"
-                        else counting.enumerate_A_square(inst))
-        except counting.BoxLimitError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_RESOURCE)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        inst = _counting_instance(c_scale, s, r, r_tilde, d1, d2, u, n_level,
+                                  h_cap if h_cap is not None else float(n_level))
+        rep = counting.lemma10_bound_check(inst, which)
         out = {"count": rep["count"], "bound": rep["bound"], "ratio": rep["ratio"]}
         if emit_elements:
-            out["elements"] = elements
+            out["elements"] = (counting.enumerate_A(inst) if which == "plain"
+                               else counting.enumerate_A_square(inst))
         _emit(out, output)
 
     cmd.__name__ = f"count_{name}"
@@ -366,18 +369,12 @@ _make_count_command("Asq", "square")
 @click.option("--delta", type=float, required=True)
 @click.option("--emit-elements", is_flag=True)
 @output_option
+@_bad_input()
 def count_matrices_cmd(x, y, n, n_level, delta, emit_elements, output):
     """Determinant-n integer matrices with lower-left entry divisible by N."""
-    try:
-        inst = counting.MatrixCountInstance(x=x, y=y, n=n,
-                                            N=SquarefreeModulus.from_int(n_level),
-                                            delta=delta)
-        split = counting.matrix_count_split(inst)
-    except counting.BoxLimitError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    inst = counting.MatrixCountInstance(x=x, y=y, n=n,
+                                        N=SquarefreeModulus.from_int(n_level), delta=delta)
+    split = counting.matrix_count_split(inst)
     out = {"M0": split["M0"], "Mstar": split["Mstar"], "M": split["M"],
            "excluded_negative": split["excluded_negative"],
            "ubound": counting.ubound_value(inst)}
@@ -397,19 +394,13 @@ def count_matrices_cmd(x, y, n, n_level, delta, emit_elements, output):
 @click.option("--r1", "--R1", "r1_box", type=int, required=True)
 @click.option("--r2", "--R2", "r2_box", type=int, required=True)
 @output_option
+@_bad_input()
 def count_reduce_cmd(l1, l2, d1, d2, c, u, n_level, r1_box, r2_box, output):
     """Admissible residues for the congruence reduction, with multiplicities."""
-    try:
-        inst = counting.CongruenceReductionInstance(
-            l1=l1, l2=l2, d1=d1, d2=d2, c=c, u=u,
-            N=SquarefreeModulus.from_int(n_level), R1=r1_box, R2=r2_box)
-        rep = counting.count_admissible_a(inst)
-    except counting.BoxLimitError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit(rep, output)
+    inst = counting.CongruenceReductionInstance(
+        l1=l1, l2=l2, d1=d1, d2=d2, c=c, u=u,
+        N=SquarefreeModulus.from_int(n_level), R1=r1_box, R2=r2_box)
+    _emit(counting.count_admissible_a(inst), output)
 
 
 @main.command("amplifier")
@@ -418,18 +409,16 @@ def count_reduce_cmd(l1, l2, d1, d2, c, u, n_level, r1_box, r2_box, output):
 @click.option("--seed", type=int, default=0)
 @click.option("--is-variant", is_flag=True, help="Primes up to sqrt(L) instead of [L, 2L].")
 @output_option
+@_bad_input()
 def amplifier_cmd(l_len, n_level, seed, is_variant, output):
     """Build an amplifier for a seeded random eigenvalue system; report its diagonal."""
     rng = random.Random(seed)
     mod = SquarefreeModulus.from_int(n_level)
     chi = DirichletCharacter.trivial(n_level)
-    try:
-        primes = primes_in_interval(2, 4 * l_len + 1)
-        sys_ = amp_mod.HeckeSystem(chi, {p: rng.uniform(-2, 2) for p in primes})
-        build = amp_mod.build_is_amplifier if is_variant else amp_mod.build_amplifier
-        amp = build(sys_, l_len, mod)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    primes = primes_in_interval(2, 4 * l_len + 1)
+    sys_ = amp_mod.HeckeSystem(chi, {p: rng.uniform(-2, 2) for p in primes})
+    build = amp_mod.build_is_amplifier if is_variant else amp_mod.build_amplifier
+    amp = build(sys_, l_len, mod)
     diag = amp_mod.amplifier_diagonal_value(sys_, amp)
     _emit({
         "L": amp.L,
@@ -446,6 +435,7 @@ def amplifier_cmd(l_len, n_level, seed, is_variant, output):
 @click.option("--emit-trace", is_flag=True, help="Include the full dominance trace.")
 @output_option
 @click.pass_context
+@_bad_input()
 def optimize_cmd(ctx, theta, emit_trace, output):
     """Exact-rational exponent balance; `optimize hybrid` for the combined form."""
     if ctx.invoked_subcommand is not None:
@@ -480,24 +470,15 @@ def optimize_hybrid_cmd(output):
 @output_option
 def verify_cmd(selector, seed, config_path, fmt, output):
     """Run the deterministic property suite; exit 1 if any property fails."""
-    try:
+    with _bad_input():
         cfg = verify.load_config(config_path, seed=seed, output_format=fmt,
                                  output_path=output)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     report = verify.run_verify(cfg, selector)
     if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["id", "fitted_constant", "limit", "passed"])
-        for rec in report["properties"]:
-            writer.writerow([rec["id"], repr(float(rec["fitted_constant"])),
-                             repr(float(rec["limit"])), rec["passed"]])
-        text = buf.getvalue()
-        if cfg.output_path:
-            _atomic_write(text, cfg.output_path)
-        else:
-            click.echo(text, nl=False)
+        _emit_csv(["id", "fitted_constant", "limit", "passed"],
+                  [[rec["id"], repr(float(rec["fitted_constant"])),
+                    repr(float(rec["limit"])), rec["passed"]]
+                   for rec in report["properties"]], cfg.output_path)
     else:
         _emit(report, cfg.output_path)
     if not report["all_passed"]:

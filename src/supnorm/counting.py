@@ -21,7 +21,7 @@ from .oscillatory import RationalApproximation
 
 
 class BoxLimitError(Exception):
-    """Raised when an enumeration box exceeds the configured volume cap."""
+    """Raised when an enumeration box exceeds the volume cap `BOX_LIMIT`."""
 
 
 BOX_LIMIT = 10 ** 9
@@ -53,15 +53,15 @@ class CountingInstance:
         return self.C * (2 * self.S + 1) * (2 * self.R + 1) * (2 * self.R_tilde + 1)
 
 
-def enumerate_A(inst: CountingInstance, limit: int = BOX_LIMIT) -> list[tuple]:
+def enumerate_A(inst: CountingInstance) -> list[tuple]:
     """All (c, s, r1, r2) with C <= c < 2C, |s| <= S, |r1| <= R, |r2| <= R_tilde
     and N | u^2 d1 d2 c + u (d1 r2 + d2 r1) + s, in lexicographic order.
 
     For each (c, r1, r2) the admissible s form an arithmetic progression mod N,
     enumerated directly instead of testing every s.
     """
-    if inst.box_volume() > limit:
-        raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {limit:.3g}")
+    if inst.box_volume() > BOX_LIMIT:
+        raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n = inst.N.value
     sf = math.floor(inst.S)
     out = []
@@ -81,11 +81,11 @@ def enumerate_A(inst: CountingInstance, limit: int = BOX_LIMIT) -> list[tuple]:
     return out
 
 
-def enumerate_A_naive(inst: CountingInstance, limit: int = BOX_LIMIT) -> list[tuple]:
+def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
     """Independent second enumerator: full vectorized box scan with the loop
     nesting permuted, for dual-oracle agreement checks."""
-    if inst.box_volume() > limit:
-        raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {limit:.3g}")
+    if inst.box_volume() > BOX_LIMIT:
+        raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n = inst.N.value
     c = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
     c = c[(c >= inst.C) & (c < 2 * inst.C)]
@@ -101,21 +101,20 @@ def enumerate_A_naive(inst: CountingInstance, limit: int = BOX_LIMIT) -> list[tu
     return [tuple(q) for q in quads]
 
 
-def enumerate_A_square(inst: CountingInstance, limit: int = BOX_LIMIT) -> list[tuple]:
+def enumerate_A_square(inst: CountingInstance) -> list[tuple]:
     """Subset of enumerate_A (requires d1 = d2 = 1) with s*c - r1*r2 a perfect
     square, zero included."""
     if inst.d1 != 1 or inst.d2 != 1:
         raise ValueError("the square variant is defined for d1 = d2 = 1")
     out = []
-    for (c, s, r1, r2) in enumerate_A(inst, limit):
+    for (c, s, r1, r2) in enumerate_A(inst):
         v = s * c - r1 * r2
         if v >= 0 and math.isqrt(v) ** 2 == v:
             out.append((c, s, r1, r2))
     return out
 
 
-def lemma10_bound_check(inst: CountingInstance, which: str = "plain",
-                        limit: int = BOX_LIMIT) -> dict:
+def lemma10_bound_check(inst: CountingInstance, which: str = "plain") -> dict:
     """Enumerated count against the counting bound (epsilon powers set to 1)."""
     if inst.approx is None:
         raise ValueError("instance needs a rational approximation (a, q, H) of u/N")
@@ -126,11 +125,11 @@ def lemma10_bound_check(inst: CountingInstance, which: str = "plain",
     C, S, R, Rt = inst.C, inst.S, inst.R, inst.R_tilde
     d1, d2 = inst.d1, inst.d2
     if which == "plain":
-        count = len(enumerate_A(inst, limit))
+        count = len(enumerate_A(inst))
         mix = d1 * Rt + d2 * R
         bound = C * min(R, Rt) * (S * mix / N + S * q / N + mix ** 2 / (q * H) + mix / q + 1)
     else:
-        count = len(enumerate_A_square(inst, limit))
+        count = len(enumerate_A_square(inst))
         tot = R + Rt
         bound = (C * S * tot / N + C * S * q / N + C * tot ** 2 / (q * H)
                  + C * tot / q + C + math.sqrt(S * C) * q * min(R, Rt) / N)
@@ -166,8 +165,7 @@ def _centered(x: int, m: int) -> int:
     return r - m if r > m // 2 else r
 
 
-def count_admissible_a(inst: CongruenceReductionInstance,
-                       limit: int = BOX_LIMIT) -> dict:
+def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
     """Walks all units a mod N*c, forms the centered residues
     r1 = l1*abar - d1*u*c and r2 = -l2*a - d2*u*c (mod N*c), and for those in
     the box |r1| <= R1, |r2| <= R2 verifies the product congruence
@@ -175,8 +173,8 @@ def count_admissible_a(inst: CongruenceReductionInstance,
     gcd(c, l1, l2) per (r1, r2), and the valuation inequality for
     s = (r1*r2 + l1*l2)/c at every prime dividing c."""
     m = inst.N.value * inst.c
-    if m > limit:
-        raise BoxLimitError(f"modulus {m} exceeds cap {limit}")
+    if m > BOX_LIMIT:
+        raise BoxLimitError(f"modulus {m} exceeds cap {BOX_LIMIT}")
     pairs: dict[tuple, int] = {}
     num_a = 0
     congruence_violations = []
@@ -255,7 +253,7 @@ def point_pair_u(x: float, y: float, g: tuple[int, int, int, int]) -> float:
     return abs(z - w) ** 2 / (4 * y * w.imag)
 
 
-def enumerate_R_N_matrices(inst: MatrixCountInstance, limit: int = BOX_LIMIT) -> list[tuple]:
+def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
     """All integer (a, b, c, d) with ad - bc = n, c >= 0, N | c and
     u(z, gz) < delta.  The candidate boxes are exact consequences of u < delta:
 
@@ -285,7 +283,7 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance, limit: int = BOX_LIMIT) ->
     # c > 0 multiples of N
     c_max = (root_nd + math.sqrt(n * (1 + delta))) / y
     p_max = 2 * math.sqrt(n * (1 + delta))
-    if (c_max / N + 1) * (2 * p_max + 3) * (4 * root_nd + 5) > limit:
+    if (c_max / N + 1) * (2 * p_max + 3) * (4 * root_nd + 5) > BOX_LIMIT:
         raise BoxLimitError("matrix candidate box exceeds cap")
     c = N
     while c <= c_max + eps:
@@ -345,10 +343,10 @@ def enumerate_matrices_naive(inst: MatrixCountInstance, entry_bound: int) -> lis
     return out
 
 
-def matrix_count_split(inst: MatrixCountInstance, limit: int = BOX_LIMIT) -> dict:
+def matrix_count_split(inst: MatrixCountInstance) -> dict:
     """M0 counts c = 0 < a, Mstar counts c > 0; matrices with c = 0, a < 0 act
     like their negatives and are reported separately, outside M = M0 + Mstar."""
-    mats = enumerate_R_N_matrices(inst, limit)
+    mats = enumerate_R_N_matrices(inst)
     m0 = sum(1 for (a, b, c, d) in mats if c == 0 and a > 0)
     mstar = sum(1 for (a, b, c, d) in mats if c > 0)
     excluded = sum(1 for (a, b, c, d) in mats if c == 0 and a < 0)
@@ -367,10 +365,10 @@ def geometric_kernel(u: float, T: float, n: int) -> float:
     return 4 * math.sqrt(T) * u ** -0.25 * (u + 1) ** -1.25
 
 
-def geometric_sum(inst: MatrixCountInstance, T: float, limit: int = BOX_LIMIT) -> dict:
+def geometric_sum(inst: MatrixCountInstance, T: float) -> dict:
     """Sum of the majorant kernel over the matrices with u(z, gz) < delta,
     against the shape T + T^{1/2} n + T^{1/2} n^{1/2} y."""
-    mats = enumerate_R_N_matrices(inst, limit)
+    mats = enumerate_R_N_matrices(inst)
     total = sum(geometric_kernel(point_pair_u(inst.x, inst.y, g), T, inst.n) for g in mats)
     bound = T + math.sqrt(T) * inst.n + math.sqrt(T * inst.n) * inst.y
     return {"sum": total, "bound": bound, "ratio": total / bound, "matrices": len(mats)}

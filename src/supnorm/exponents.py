@@ -93,9 +93,6 @@ class Bound:
     def substitute(self, mapping: dict) -> "Bound":
         return Bound.of(*(m.substitute(mapping) for m in self.monomials))
 
-    def scale(self, factor: Monomial) -> "Bound":
-        return Bound.of(*(factor * m for m in self.monomials))
-
 
 # ---------------------------------------------------------------------------
 # the composite bounds
@@ -213,19 +210,6 @@ def dominates(candidate: Monomial, others, corners=(F(0), T_STAR_MAX)) -> bool:
         _n_exponent_at_corner(candidate, tau) >= _n_exponent_at_corner(m, tau)
         for m in others for tau in corners
     )
-
-
-def dominant_monomial(bound: Bound, substitutions: dict,
-                      corners=(F(0), T_STAR_MAX)) -> Monomial:
-    """The monomial maximizing the bound over the t*-range corners, after
-    substituting everything down to N and t*; ties break by canonical order."""
-    reduced = sorted((m.substitute(substitutions) for m in bound.monomials),
-                     key=lambda m: m.exponents)
-    for m in reduced:
-        if dominates(m, reduced, corners):
-            return m
-    # no single monomial wins at every corner; take the max at the upper corner
-    return max(reduced, key=lambda m: (_n_exponent_at_corner(m, corners[-1]), m.exponents))
 
 
 def check_parameter_constraints(H: Monomial, L: Monomial,

@@ -17,6 +17,7 @@ ratio only depends on t, so it is cached on the node grid and reused across
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,22 +137,16 @@ def _panel_nodes(y_max: float, y_min: float = 1e-3, split: float = 2 * math.pi):
 
 _DOT_YMAX = 5e4
 _TILDE_YMAX = 1e4
-_DOT_GRID = None
-_TILDE_GRID = None
 
 
+@functools.cache
 def _dot_grid():
-    global _DOT_GRID
-    if _DOT_GRID is None:
-        _DOT_GRID = _panel_nodes(_DOT_YMAX)
-    return _DOT_GRID
+    return _panel_nodes(_DOT_YMAX)
 
 
+@functools.cache
 def _tilde_grid():
-    global _TILDE_GRID
-    if _TILDE_GRID is None:
-        _TILDE_GRID = _panel_nodes(_TILDE_YMAX)
-    return _TILDE_GRID
+    return _panel_nodes(_TILDE_YMAX)
 
 
 def dot_transform_quadrature(tf: TestFunction, k: int) -> float:
@@ -166,13 +161,9 @@ def dot_transform_quadrature(tf: TestFunction, k: int) -> float:
 
 # -- Im J_{2it}(y) / sinh(pi t), cached per t on the tilde grid --------------
 
-_IMJ_CACHE: dict[float, np.ndarray] = {}
-
-
+@functools.cache
 def _imj_ratio_on_grid(t: float) -> np.ndarray:
-    if t not in _IMJ_CACHE:
-        _IMJ_CACHE[t] = y_pair_ratio(t, _tilde_grid()[0])
-    return _IMJ_CACHE[t]
+    return y_pair_ratio(t, _tilde_grid()[0])
 
 
 def tilde_transform_quadrature(tf: TestFunction, t: float) -> float:

@@ -32,12 +32,17 @@ from .arithmetic import DirichletCharacter, SquarefreeModulus, enumerate_charact
 @dataclass
 class RunConfig:
     seed: int = 0
-    box_limit: int = counting.BOX_LIMIT
     output_format: str = "json"
     output_path: str | None = None
 
 
-_CONFIG_KEYS = {"seed": int, "box_limit": int, "output_format": str, "output_path": str}
+def _output_format(value: str) -> str:
+    if value not in ("json", "csv"):
+        raise ValueError(value)
+    return value
+
+
+_CONFIG_KEYS = {"seed": int, "output_format": _output_format, "output_path": str}
 
 
 def load_config(path: str | None, **flag_overrides) -> RunConfig:

@@ -88,6 +88,18 @@ def test_count_matrices_resource_cap(runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["count", "A", "--c-scale", "10000", "--s", "1000", "--r", "1000", "--r-tilde", "1000",
+     "--u", "3", "--n-level", "7"],
+    ["count", "reduce", "--l1", "2", "--l2", "3", "--c", "1000000000", "--u", "1",
+     "--n-level", "5", "--r1", "50", "--r2", "50"],
+])
+def test_count_resource_cap(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert "exceeds cap" in res.output
+
+
 def test_count_reduce(runner):
     res = runner.invoke(main, ["count", "reduce", "--l1", "2", "--l2", "3", "--c", "6",
                                "--u", "1", "--n-level", "5", "--r1", "50", "--r2", "50"])
@@ -174,3 +186,39 @@ def test_verify_config_rejects_unparsable_value(runner, tmp_path):
                                "--config", str(cfg)])
     assert res.exit_code == 2
     assert "'seed'" in res.output and "'abc'" in res.output
+
+
+@pytest.mark.parametrize("cfg_text, expected", [
+    ("box_limit = 5\n", "unknown config key 'box_limit'"),
+    ("output_format = cvs\n", "bad value 'cvs' for config key 'output_format'"),
+], ids=["box_limit", "output_format-typo"])
+def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_text, expected):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(cfg_text)
+    res = runner.invoke(main, ["verify", "--selector", "transforms/positivity",
+                               "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert expected in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bessel", "--fn", "J", "--order", "2", "--y", "-3"], "argument must be positive, got -3.0"),
+    (["bessel", "--fn", "Kimag", "--t", "1", "--y", "0"], "argument must be positive, got 0.0"),
+    (["bessel", "--fn", "W", "--k", "3", "--y", "1"],
+     "holomorphic weight must be an even integer >= 2, got 3"),
+    (["transform", "--a", "10", "--b", "2", "--k", "3"], "k must be an even integer >= 2, got 3"),
+    (["vintegral", "--kind", "holomorphic", "--k", "3", "--z", "32", "--t-scale", "8",
+      "--alpha", "1.0"], "holomorphic weight must be an even integer >= 2, got 3"),
+    (["kloosterman", "--m", "1", "--n", "1", "--c", "8", "--char", "quadratic:4"],
+     "quadratic character requires an odd prime modulus"),
+    (["kloosterman", "--m", "1", "--n", "1", "--c", "8", "--char", "trivial:4"],
+     "4 is not square-free"),
+    (["approx", "--x", "abc", "--h", "10"], "could not convert string to float: 'abc'"),
+    (["decay", "--z", "256", "--t", "32", "--alpha", "abc"],
+     "could not convert string to float: 'abc'"),
+    (["amplifier", "--l", "10", "--n-level", "4"], "4 is not square-free"),
+])
+def test_library_value_errors_are_usage_errors(runner, args, message):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "Error:" in res.output and message in res.output
