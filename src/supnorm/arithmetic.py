@@ -5,6 +5,10 @@ primitive root, so multiplication, conjugation and evaluation are exact rational
 arithmetic; floats appear only when a complex value is finally requested.  Evaluation
 reads a discrete-log table built once per prime (`log_table`), for one unit or for a
 whole numpy array of units at once.
+
+`unit_blocks` (a sieve) and `batch_inverse` (Montgomery batch inversion) give the
+units mod m and their inverses as numpy arrays; the Kloosterman sums and the
+admissible-residue walk in `counting` share them.
 """
 
 from __future__ import annotations
@@ -187,6 +191,37 @@ def log_table(p: int) -> np.ndarray:
     table[powers] = np.arange(p - 1)
     table.flags.writeable = False
     return table
+
+
+def unit_blocks(m: int, primes, block: int):
+    """The units mod m in increasing order, as int64 arrays of at most `block`
+    residues; `primes` are the prime factors of m.  Mod 1 the only unit is 0."""
+    for lo in range(0, m, block):
+        keep = np.ones(min(block, m - lo), dtype=bool)
+        for p in primes:
+            keep[-lo % p::p] = False
+        units = np.flatnonzero(keep) + lo
+        if len(units):
+            yield units
+
+
+def batch_inverse(x: np.ndarray, m: int) -> np.ndarray:
+    """Inverses mod m of the non-empty int64 array of units x in [0, m), with a
+    single modular inverse (Montgomery): up a product tree (odd levels padded
+    with 1), invert the root, and give each node its parent's inverse times its
+    sibling.  Exact while m^2 < 2^63, so every product of two residues fits."""
+    tree = [x]
+    while len(tree[-1]) > 1:
+        if len(tree[-1]) % 2:
+            tree[-1] = np.append(tree[-1], 1)
+        tree.append(tree[-1][0::2] * tree[-1][1::2] % m)
+    inv = np.array([pow(int(tree[-1][0]), -1, m)], dtype=np.int64)
+    for level in reversed(tree[:-1]):
+        parent = inv[:len(level) // 2]
+        inv = np.empty_like(level)
+        inv[0::2] = parent * level[1::2] % m
+        inv[1::2] = parent * level[0::2] % m
+    return inv[:len(x)]
 
 
 def p_adic_valuation(n: int, p: int) -> int:

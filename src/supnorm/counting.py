@@ -3,20 +3,27 @@ divisibility condition (with a perfect-square refinement), the admissible-residu
 reduction behind the Kloosterman-sum pairing, and determinant-n matrix counts
 near a point of the upper half-plane.
 
-Everything here is exact integer enumeration plus bound-formula evaluation;
-randomized sweeps in the test suite compare against independent second
-enumerators.
+Everything here is exact integer enumeration plus bound-formula evaluation.
+Each fast enumerator has a second one, of a different algorithm, that the
+`verify` sweeps and the tests compare it with: `enumerate_A` solves for s per
+(c, r1, r2) where `enumerate_A_naive` tests every point of the box in one
+broadcast numpy pass; `enumerate_R_N_matrices` tests u with the float
+`point_pair_u` where `enumerate_matrices_naive` tests the closed form for u
+with a stated rounding margin and exact `Fraction` fallback (`_u_below`).
+`count_admissible_a` walks the units in numpy blocks and checks the ones in the
+box exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import sympy
 
-from .arithmetic import SquarefreeModulus, p_adic_valuation
+from .arithmetic import SquarefreeModulus, batch_inverse, p_adic_valuation, unit_blocks
 from .oscillatory import RationalApproximation
 
 
@@ -25,6 +32,7 @@ class BoxLimitError(Exception):
 
 
 BOX_LIMIT = 10 ** 9
+_UNIT_BLOCK = 2 ** 16   # units per numpy pass of the admissible-residue walk
 
 
 # ---------------------------------------------------------------------------
@@ -82,40 +90,40 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
 
 
 def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
-    """Independent second enumerator: full vectorized box scan with the loop
-    nesting permuted, for dual-oracle agreement checks."""
+    """Independent second enumerator: tests the divisibility at every point of
+    the box, with the four 1-D axes (c, s, r1, r2) broadcast against each other,
+    and reads the quadruples off `np.nonzero`, whose C order is lexicographic."""
     if inst.box_volume() > BOX_LIMIT:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
-    n = inst.N.value
+    n, u = inst.N.value, inst.u
     c = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
     c = c[(c >= inst.C) & (c < 2 * inst.C)]
     s = np.arange(-math.floor(inst.S), math.floor(inst.S) + 1)
     r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1)
     r2 = np.arange(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1)
-    r2g, r1g, sg, cg = np.meshgrid(r2, r1, s, c, indexing="ij")
-    total = (inst.u * inst.u * inst.d1 * inst.d2 * cg
-             + inst.u * (inst.d1 * r2g + inst.d2 * r1g) + sg)
-    mask = total % n == 0
-    quads = sorted(zip(cg[mask].tolist(), sg[mask].tolist(),
-                       r1g[mask].tolist(), r2g[mask].tolist()))
-    return [tuple(q) for q in quads]
+    # N | head + u d1 r2, with head the residue of every other term over (c, s, r1)
+    head = (u * u * inst.d1 * inst.d2 % n * c[:, None, None] + s[:, None]
+            + u * inst.d2 % n * r1) % n
+    ic, i_s, i1, i2 = np.nonzero(head[..., None] == -(u * inst.d1 % n) * r2 % n)
+    return list(zip(c[ic].tolist(), s[i_s].tolist(), r1[i1].tolist(), r2[i2].tolist()))
 
 
-def enumerate_A_square(inst: CountingInstance) -> list[tuple]:
+def enumerate_A_square(inst: CountingInstance, plain: list[tuple] | None = None) -> list[tuple]:
     """Subset of enumerate_A (requires d1 = d2 = 1) with s*c - r1*r2 a perfect
-    square, zero included."""
+    square, zero included.  `plain`, when given, is enumerate_A(inst)."""
     if inst.d1 != 1 or inst.d2 != 1:
         raise ValueError("the square variant is defined for d1 = d2 = 1")
     out = []
-    for (c, s, r1, r2) in enumerate_A(inst):
+    for (c, s, r1, r2) in enumerate_A(inst) if plain is None else plain:
         v = s * c - r1 * r2
         if v >= 0 and math.isqrt(v) ** 2 == v:
             out.append((c, s, r1, r2))
     return out
 
 
-def lemma10_bound_check(inst: CountingInstance, which: str = "plain") -> dict:
-    """Enumerated count against the counting bound (epsilon powers set to 1)."""
+def lemma10_bound(inst: CountingInstance, which: str = "plain") -> float:
+    """The counting bound for enumerate_A ("plain") or enumerate_A_square
+    ("square"), with the epsilon powers set to 1."""
     if inst.approx is None:
         raise ValueError("instance needs a rational approximation (a, q, H) of u/N")
     if which not in ("plain", "square"):
@@ -123,16 +131,23 @@ def lemma10_bound_check(inst: CountingInstance, which: str = "plain") -> dict:
     q, H = inst.approx.q, inst.approx.H
     N = inst.N.value
     C, S, R, Rt = inst.C, inst.S, inst.R, inst.R_tilde
-    d1, d2 = inst.d1, inst.d2
     if which == "plain":
-        count = len(enumerate_A(inst))
-        mix = d1 * Rt + d2 * R
-        bound = C * min(R, Rt) * (S * mix / N + S * q / N + mix ** 2 / (q * H) + mix / q + 1)
+        mix = inst.d1 * Rt + inst.d2 * R
+        return C * min(R, Rt) * (S * mix / N + S * q / N + mix ** 2 / (q * H) + mix / q + 1)
+    tot = R + Rt
+    return (C * S * tot / N + C * S * q / N + C * tot ** 2 / (q * H)
+            + C * tot / q + C + math.sqrt(S * C) * q * min(R, Rt) / N)
+
+
+def lemma10_bound_check(inst: CountingInstance, which: str = "plain",
+                        plain: list[tuple] | None = None) -> dict:
+    """Enumerated count against `lemma10_bound`.  `plain`, when given, is
+    enumerate_A(inst), so a caller that holds it does not enumerate the box again."""
+    bound = lemma10_bound(inst, which)
+    if which == "square":
+        count = len(enumerate_A_square(inst, plain))
     else:
-        count = len(enumerate_A_square(inst))
-        tot = R + Rt
-        bound = (C * S * tot / N + C * S * q / N + C * tot ** 2 / (q * H)
-                 + C * tot / q + C + math.sqrt(S * C) * q * min(R, Rt) / N)
+        count = len(enumerate_A(inst) if plain is None else plain)
     return {"count": count, "bound": bound,
             "ratio": count / bound if bound > 0 else (0.0 if count == 0 else math.inf)}
 
@@ -158,25 +173,32 @@ class CongruenceReductionInstance:
             raise ValueError("l1, l2, d1, d2, c must be positive")
         if math.gcd(self.l1 * self.l2, self.N.value) != 1:
             raise ValueError("require gcd(l1*l2, N) = 1")
+        if math.isnan(self.R1) or math.isnan(self.R2):
+            raise ValueError("R1 and R2 must not be NaN")
 
 
-def _centered(x: int, m: int) -> int:
+def _centered(x, m: int):
+    """The residue of x (an int or an int64 array) mod m in (-m/2, m/2]."""
     r = x % m
-    return r - m if r > m // 2 else r
+    return r - m * (r > m // 2)
 
 
 def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
-    """Walks all units a mod N*c, forms the centered residues
-    r1 = l1*abar - d1*u*c and r2 = -l2*a - d2*u*c (mod N*c), and for those in
+    """Walks all units a mod m = N*c, forms the centered residues
+    r1 = l1*abar - d1*u*c and r2 = -l2*a - d2*u*c (mod m), and for those in
     the box |r1| <= R1, |r2| <= R2 verifies the product congruence
-    (d1*u*c + r1)(d2*u*c + r2) + l1*l2 = 0 (mod N*c), the multiplicity bound
+    (d1*u*c + r1)(d2*u*c + r2) + l1*l2 = 0 (mod m), the multiplicity bound
     gcd(c, l1, l2) per (r1, r2), and the valuation inequality for
-    s = (r1*r2 + l1*l2)/c at every prime dividing c."""
+    s = (r1*r2 + l1*l2)/c at every prime dividing c.
+
+    The walk up to the box is numpy passes over blocks of units: the sieve and
+    the batch inverse of `arithmetic`, then int64 residues (l1 is reduced mod m
+    first, so every product stays below m^2 <= BOX_LIMIT^2 < 2^63).  Only the
+    units in the box reach the exact checks, in increasing a."""
     m = inst.N.value * inst.c
     if m > BOX_LIMIT:
         raise BoxLimitError(f"modulus {m} exceeds cap {BOX_LIMIT}")
     pairs: dict[tuple, int] = {}
-    num_a = 0
     congruence_violations = []
     valuation_violations = []
     g = math.gcd(inst.c, math.gcd(inst.l1, inst.l2))
@@ -187,15 +209,16 @@ def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
         need = min(vl1 + vl2 - vc, vl1, vl2, vc)
         if need > 0:
             divisors.append((p, p ** need))
-    for a in range(1, m + 1):
-        if math.gcd(a, m) != 1:
-            continue
-        abar = pow(a, -1, m)
-        r1 = _centered((inst.l1 * abar - inst.d1 * inst.u * inst.c) % m, m)
-        r2 = _centered((-inst.l2 * a - inst.d2 * inst.u * inst.c) % m, m)
-        if abs(r1) > inst.R1 or abs(r2) > inst.R2:
-            continue
-        num_a += 1
+    l1, l2 = inst.l1 % m, inst.l2 % m
+    k1, k2 = inst.d1 * inst.u * inst.c % m, inst.d2 * inst.u * inst.c % m
+    in_box = []
+    for a in unit_blocks(m, sympy.factorint(m), _UNIT_BLOCK):
+        r1 = _centered(l1 * batch_inverse(a, m) - k1, m)
+        r2 = _centered(-l2 * a - k2, m)
+        keep = (np.abs(r1) <= inst.R1) & (np.abs(r2) <= inst.R2)
+        in_box += zip(a[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())
+    # mod m = 1 the sieve's one unit is a = 0, not 1, but no check can fail there
+    for a, r1, r2 in in_box:
         pairs[(r1, r2)] = pairs.get((r1, r2), 0) + 1
         lhs = (inst.d1 * inst.u * inst.c + r1) * (inst.d2 * inst.u * inst.c + r2) + inst.l1 * inst.l2
         if lhs % m != 0:
@@ -211,7 +234,7 @@ def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
                 if s % pk:
                     valuation_violations.append((a, r1, r2, p))
     return {
-        "num_a": num_a,
+        "num_a": len(in_box),
         "num_rs_pairs": len(pairs),
         "max_multiplicity": max(pairs.values(), default=0),
         "multiplicity_bound": g,
@@ -233,6 +256,8 @@ class MatrixCountInstance:
     delta: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.delta)):
+            raise ValueError("x, y and delta must be finite")
         if self.y <= 0:
             raise ValueError("y must be positive")
         if self.n < 1:
@@ -253,6 +278,21 @@ def point_pair_u(x: float, y: float, g: tuple[int, int, int, int]) -> float:
     return abs(z - w) ** 2 / (4 * y * w.imag)
 
 
+def _point_pair_below(inst: MatrixCountInstance, g: tuple[int, int, int, int]) -> bool:
+    """u(z, gz) < delta by `point_pair_u`.  A float u within 1e-9 (relative) of
+    delta, where rounding could decide, is recomputed exactly from the same
+    Mobius action in `Fraction` arithmetic, with real and imaginary parts."""
+    u = point_pair_u(inst.x, inst.y, g)
+    if abs(u - inst.delta) > 1e-9 * inst.delta:
+        return u < inst.delta
+    a, b, c, d = g
+    x, y = Fraction(inst.x), Fraction(inst.y)
+    nr, ni, dr, di = a * x + b, a * y, c * x + d, c * y    # g z = (nr + i ni)/(dr + i di)
+    den = dr * dr + di * di
+    wr, wi = (nr * dr + ni * di) / den, (ni * dr - nr * di) / den
+    return wi > 0 and ((x - wr) ** 2 + (y - wi) ** 2) / (4 * y * wi) < Fraction(inst.delta)
+
+
 def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
     """All integer (a, b, c, d) with ad - bc = n, c >= 0, N | c and
     u(z, gz) < delta.  The candidate boxes are exact consequences of u < delta:
@@ -262,7 +302,7 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
         0 <= c             <  (sqrt(n delta) + sqrt(n (1+delta))) / y
 
     (derived from the real/imaginary parts of |c z^2 + (d-a) z - b|^2 < 4 n delta y^2
-    and its u+1 companion), followed by the exact u < delta filter."""
+    and its u+1 companion), followed by the u < delta filter of `_point_pair_below`."""
     n, N, x, y, delta = inst.n, inst.N.value, inst.x, inst.y, inst.delta
     eps = 1e-9
     out = []
@@ -278,7 +318,7 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
         s = math.sqrt(max(gap_sq, 0.0))
         center = (d - a) * x
         for b in range(math.floor(center - s - 1), math.ceil(center + s + 1) + 1):
-            if point_pair_u(x, y, (a, b, 0, d)) < delta:
+            if _point_pair_below(inst, (a, b, 0, d)):
                 out.append((a, b, 0, d))
     # c > 0 multiples of N
     c_max = (root_nd + math.sqrt(n * (1 + delta))) / y
@@ -300,7 +340,7 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
                 if num % c != 0:
                     continue
                 b = num // c
-                if point_pair_u(x, y, (a, b, c, d)) < delta:
+                if _point_pair_below(inst, (a, b, c, d)):
                     out.append((a, b, c, d))
         c += N
     out.sort()
@@ -316,31 +356,67 @@ def _signed_divisors(n: int) -> list[int]:
 
 
 def enumerate_matrices_naive(inst: MatrixCountInstance, entry_bound: int) -> list[tuple]:
-    """Quadruple-loop oracle over |a|,|b|,|d| <= entry_bound, 0 <= c <= entry_bound."""
-    n, N = inst.n, inst.N.value
-    out = []
-    for c in range(0, entry_bound + 1, 1):
-        if c % N != 0:
-            continue
-        for a in range(-entry_bound, entry_bound + 1):
-            for d in range(-entry_bound, entry_bound + 1):
-                rem = a * d - n
-                if c == 0:
-                    if rem != 0:
-                        continue
-                    for b in range(-entry_bound, entry_bound + 1):
-                        if point_pair_u(inst.x, inst.y, (a, b, 0, d)) < inst.delta:
-                            out.append((a, b, 0, d))
-                else:
-                    if rem % c != 0:
-                        continue
-                    b = rem // c
-                    if abs(b) > entry_bound:
-                        continue
-                    if point_pair_u(inst.x, inst.y, (a, b, c, d)) < inst.delta:
-                        out.append((a, b, c, d))
-    out.sort()
-    return out
+    """Oracle for enumerate_R_N_matrices: a full scan of |a|, |b|, |d| <= entry_bound,
+    0 <= c <= entry_bound with N | c, with an exact u-test in place of
+    `point_pair_u`.  For each c the (a, d) grid is one int64 array, and
+    c | ad - n fixes b; for c = 0, ad = n and b runs over the whole range."""
+    n, B = inst.n, entry_bound
+    if (B // inst.N.value + 1) * (2 * B + 1) ** 2 > BOX_LIMIT:
+        raise BoxLimitError("matrix oracle box exceeds cap")
+    axis = np.arange(-B, B + 1)
+    a, d = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
+    rem = a * d - n
+    cands = []
+    for c in range(0, B + 1, inst.N.value):
+        if c == 0:
+            on = rem == 0
+            b = np.tile(axis, on.sum())
+            cands.append((np.repeat(a[on], len(axis)), b, np.zeros_like(b),
+                          np.repeat(d[on], len(axis))))
+        else:
+            on = rem % c == 0
+            b = rem[on] // c
+            fit = np.abs(b) <= B
+            cands.append((a[on][fit], b[fit], np.full(fit.sum(), c), d[on][fit]))
+    cand = [np.concatenate(v) for v in zip(*cands)]
+    below = _u_below(inst, *cand)
+    return sorted(zip(*(v[below].tolist() for v in cand)))
+
+
+def _u_below(inst: MatrixCountInstance, a, b, c, d) -> np.ndarray:
+    """u(z, gz) < delta for integer arrays a, b, c, d with ad - bc = n, from
+    u = |c z^2 + (d - a) z - b|^2 / (4 n y^2):
+
+        (c(x^2 - y^2) + (d - a)x - b)^2 + y^2 (2cx + d - a)^2  <  4 n delta y^2.
+
+    Both sides are evaluated in float64 first.  Let S be the same expression
+    with every term replaced by its absolute value, plus 4 n delta y^2, and
+    F = (1 + |c|)(2 + y)(1 + S + y + 4 n delta).  Each monomial passes through
+    at most 13 roundings, and each product that underflows adds at most 2^-1075
+    times the factors applied after it, so the float difference is off by at
+    most gamma_13 S + 2^-1072 F < 1.5e-15 S + 2^-1072 F (Higham, Accuracy and
+    Stability of Numerical Algorithms, Lemma 3.1).  The float verdict stands
+    when |lhs - rhs| > 1e-12 S + 2^-1000 F; everything else (the boundary,
+    overflow, NaN) is decided exactly in `Fraction` arithmetic, which is exact
+    because x, y and delta are dyadic rationals."""
+    x, y, n, delta = inst.x, inst.y, inst.n, inst.delta
+    e = d - a
+    re = c * (x * x - y * y) + e * x - b
+    im = y * (2 * c * x + e)
+    lhs, rhs = re * re + im * im, 4 * n * delta * (y * y)
+    size = ((np.abs(c) * (x * x + y * y) + np.abs(e) * abs(x) + np.abs(b)) ** 2
+            + (y * (2 * np.abs(c) * abs(x) + np.abs(e))) ** 2 + rhs)
+    floor = (1 + np.abs(c)) * (2 + y) * (1 + size + y + 4 * n * delta)
+    below = lhs < rhs
+    unsure = ~(np.abs(lhs - rhs) > 1e-12 * size + 2.0 ** -1000 * floor)
+    if unsure.any():
+        fx, fy, fdelta = Fraction(x), Fraction(y), Fraction(delta)
+        for i in np.flatnonzero(unsure):
+            ai, bi, ci, di = int(a[i]), int(b[i]), int(c[i]), int(d[i])
+            re_q = ci * (fx * fx - fy * fy) + (di - ai) * fx - bi
+            im_q = fy * (2 * ci * fx + di - ai)
+            below[i] = re_q * re_q + im_q * im_q < 4 * n * fdelta * fy * fy
+    return below
 
 
 def matrix_count_split(inst: MatrixCountInstance) -> dict:

@@ -4,8 +4,10 @@ conj(chi(a)) e((m abar + n a)/c), in one vectorised pass over the units.
 The sum is O(c) on purpose: it is the exact reference that the oscillatory and
 counting modules trust, and it stays fast at desk scale (c <= 10^6).
 
-- Units come from a boolean sieve over the prime factors of c.
-- Their inverses come from Montgomery batch inversion on a product tree:
+- Units come from a boolean sieve over the prime factors of c
+  (`arithmetic.unit_blocks`).
+- Their inverses come from Montgomery batch inversion on a product tree
+  (`arithmetic.batch_inverse`):
   pairwise products mod c up the tree, one modular inverse of the root, and
   products back down.  This needs no factorisation of the unit group, so
   square-free and other c take the same path.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 
-from .arithmetic import DirichletCharacter
+from .arithmetic import DirichletCharacter, batch_inverse, unit_blocks
 
 _BLOCK = 2 ** 14    # residues a per block; peak memory stays near 1 MiB
 _MAX_C = 2 ** 31    # below it every phase product is under c^2 < 2^62, exact in int64
@@ -49,35 +51,6 @@ class KloostermanQuery:
             )
 
 
-def _unit_blocks(c: int, primes):
-    """The units mod c in increasing order, in blocks of at most _BLOCK residues."""
-    for lo in range(0, c, _BLOCK):
-        keep = np.ones(min(_BLOCK, c - lo), dtype=bool)
-        for p in primes:
-            keep[-lo % p::p] = False
-        units = np.flatnonzero(keep) + lo
-        if len(units):
-            yield units
-
-
-def _batch_inverse(x: np.ndarray, c: int) -> np.ndarray:
-    """Inverses mod c of the non-empty int64 array of units x, with a single
-    modular inverse: up a product tree (odd levels padded with 1), invert the
-    root, and give each node its parent's inverse times its sibling."""
-    tree = [x]
-    while len(tree[-1]) > 1:
-        if len(tree[-1]) % 2:
-            tree[-1] = np.append(tree[-1], 1)
-        tree.append(tree[-1][0::2] * tree[-1][1::2] % c)
-    inv = np.array([pow(int(tree[-1][0]), -1, c)], dtype=np.int64)
-    for level in reversed(tree[:-1]):
-        parent = inv[:len(level) // 2]
-        inv = np.empty_like(level)
-        inv[0::2] = parent * level[1::2] % c
-        inv[1::2] = parent * level[0::2] % c
-    return inv[:len(x)]
-
-
 def kloosterman_sum(q: KloostermanQuery) -> complex:
     m, n, c, chi = q.m, q.n, q.c, q.chi
     if c == 1:
@@ -85,8 +58,8 @@ def kloosterman_sum(q: KloostermanQuery) -> complex:
     order = chi.order()
     L = math.lcm(c, order)
     total = 0j
-    for a in _unit_blocks(c, sympy.factorint(c)):
-        k = (m % c * _batch_inverse(a, c) + n % c * a) % c * (L // c)
+    for a in unit_blocks(c, sympy.factorint(c), _BLOCK):
+        k = (m % c * batch_inverse(a, c) + n % c * a) % c * (L // c)
         if order > 1:
             # a is a unit mod c, hence mod N | c; conjugate character: subtract the angle
             k = (k - chi.angle_numerators(a, L)) % L

@@ -151,10 +151,11 @@ def sweep_lemma10(rng: random.Random, n_instances: int = 60) -> dict:
         plain = counting.enumerate_A(inst)
         if plain != counting.enumerate_A_naive(inst):
             dual_ok = False
-        worst_plain = max(worst_plain, counting.lemma10_bound_check(inst, "plain")["ratio"])
+        worst_plain = max(worst_plain,
+                          counting.lemma10_bound_check(inst, "plain", plain)["ratio"])
         if inst.d1 == 1 and inst.d2 == 1:
             worst_square = max(worst_square,
-                               counting.lemma10_bound_check(inst, "square")["ratio"])
+                               counting.lemma10_bound_check(inst, "square", plain)["ratio"])
         done += 1
     return {"instances": done, "dual_oracle_ok": dual_ok,
             "fitted_constant": max(worst_plain, worst_square),

@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from supnorm.arithmetic import (
     DirichletCharacter,
     SquarefreeModulus,
     THETA,
+    batch_inverse,
     e,
     enumerate_characters,
     p_adic_valuation,
     primes_in_interval,
+    unit_blocks,
 )
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 33, 35, 77, 105]
@@ -149,3 +152,14 @@ def test_angle_numerators_match_angle():
     k = chi.angle_numerators(units, L)
     assert [Fraction(int(x), L) for x in k] == [chi.angle(int(a)) for a in units]
     assert DirichletCharacter.trivial(210).order() == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 97, 360, 1001, 4096])
+@pytest.mark.parametrize("block", [1, 7, 2 ** 16])
+def test_unit_blocks_and_batch_inverse(m, block):
+    blocks = list(unit_blocks(m, sympy.primefactors(m), block))
+    assert all(0 < len(units) <= block for units in blocks)
+    units = np.concatenate(blocks).tolist()
+    assert units == [a for a in range(m) if math.gcd(a, m) == 1]
+    for x in blocks:
+        assert batch_inverse(x, m).tolist() == [pow(int(a), -1, m) for a in x]

@@ -217,6 +217,8 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
     (["decay", "--z", "256", "--t", "32", "--alpha", "abc"],
      "could not convert string to float: 'abc'"),
     (["amplifier", "--l", "10", "--n-level", "4"], "4 is not square-free"),
+    (["count", "matrices", "--x", "0", "--y", "1", "--n", "1", "--n-level", "1",
+      "--delta", "inf"], "x, y and delta must be finite"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -1,11 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from supnorm import counting, oscillatory
-from supnorm.arithmetic import SquarefreeModulus
+from supnorm import counting, oscillatory, verify
+from supnorm.arithmetic import SquarefreeModulus, p_adic_valuation
 from supnorm.counting import (
     BoxLimitError,
     CongruenceReductionInstance,
@@ -157,3 +159,195 @@ def test_ubound_value():
     inst = MatrixCountInstance(x=0.0, y=2.0, n=4,
                                N=SquarefreeModulus.from_int(3), delta=1.0)
     assert counting.ubound_value(inst) == pytest.approx(4 ** 0.1 * (1 + 2 * 2.0))
+
+
+# -- the lemma-10 sweep enumerates each box once -----------------------------
+
+def test_sweep_lemma10_enumerates_each_box_once(monkeypatch):
+    calls = []
+    enumerate_a = counting.enumerate_A
+    monkeypatch.setattr(counting, "enumerate_A",
+                        lambda inst: calls.append(inst) or enumerate_a(inst))
+    rep = verify.sweep_lemma10(random.Random(3), n_instances=12)
+    assert rep["instances"] == 12 and len(calls) == 12
+    assert rep["max_ratio_square"] > 0
+
+
+def test_bound_check_reuses_the_plain_list():
+    inst = _instance(6, 9, 4, 5, u=2, n=7)
+    plain = counting.enumerate_A(inst)
+    for which in ("plain", "square"):
+        rep = counting.lemma10_bound_check(inst, which)
+        assert counting.lemma10_bound_check(inst, which, plain) == rep
+        assert rep["bound"] == counting.lemma10_bound(inst, which)
+
+
+# -- admissible residues: the vectorised walk against the per-unit loop -------
+
+def _admissible_loop(inst):
+    """The per-unit loop the vectorised walk replaced, kept as its reference."""
+    m = inst.N.value * inst.c
+
+    def centered(v):
+        r = v % m
+        return r - m if r > m // 2 else r
+    pairs, num_a, cong, val = {}, 0, [], []
+    for a in range(1, m + 1):
+        if math.gcd(a, m) != 1:
+            continue
+        r1 = centered(inst.l1 * pow(a, -1, m) - inst.d1 * inst.u * inst.c)
+        r2 = centered(-inst.l2 * a - inst.d2 * inst.u * inst.c)
+        if abs(r1) > inst.R1 or abs(r2) > inst.R2:
+            continue
+        num_a += 1
+        pairs[(r1, r2)] = pairs.get((r1, r2), 0) + 1
+        if ((inst.d1 * inst.u * inst.c + r1) * (inst.d2 * inst.u * inst.c + r2)
+                + inst.l1 * inst.l2) % m:
+            cong.append((a, r1, r2))
+            continue
+        s, rem = divmod(r1 * r2 + inst.l1 * inst.l2, inst.c)
+        if rem:
+            val.append((a, r1, r2, "c does not divide r1*r2 + l1*l2"))
+            continue
+        for p in sorted(sympy.factorint(inst.c)) if s else ():
+            vl1, vl2, vc = (p_adic_valuation(v, p) for v in (inst.l1, inst.l2, inst.c))
+            need = min(vl1 + vl2 - vc, vl1, vl2, vc)
+            if need > 0 and s % p ** need:
+                val.append((a, r1, r2, p))
+    return {"num_a": num_a, "num_rs_pairs": len(pairs),
+            "max_multiplicity": max(pairs.values(), default=0),
+            "multiplicity_bound": math.gcd(inst.c, inst.l1, inst.l2),
+            "congruence_violations": cong, "valuation_violations": val}
+
+
+@pytest.mark.parametrize("l1,l2,d1,d2,c,u,n,R1,R2", [
+    (3, 7, 1, 1, 1, 1, 1, 5, 5),              # m = 1: a single unit
+    (3, 7, 2, 1, 1, 4, 1, 0, math.inf),
+    (6, 10, 1, 2, 12, 3, 7, 100, 100),        # even c
+    (4, 6, 1, 1, 2, 1, 7, 50, 50),
+    (9, 15, 3, 1, 27, 2, 7, 40.5, 300),       # odd c, 3 | gcd(l1, l2, c)
+    (25, 10, 1, 3, 25, 2, 3, 30, 60),
+    (1000, 2999, 2, 3, 6, 5, 7, 8, 11),       # l1, l2 > m = 42
+    (77, 30, 1, 1, 9, 7, 1, math.inf, math.inf),
+    (8, 12, 1, 1, 48, 1, 35, 420, 420),
+])
+def test_count_admissible_a_matches_the_unit_loop(l1, l2, d1, d2, c, u, n, R1, R2):
+    inst = CongruenceReductionInstance(l1=l1, l2=l2, d1=d1, d2=d2, c=c, u=u,
+                                       N=SquarefreeModulus.from_int(n), R1=R1, R2=R2)
+    assert counting.count_admissible_a(inst) == _admissible_loop(inst)
+
+
+def test_count_admissible_a_does_not_depend_on_block_size(monkeypatch):
+    inst = CongruenceReductionInstance(l1=8, l2=12, d1=1, d2=1, c=48, u=1,
+                                       N=SquarefreeModulus.from_int(35), R1=420, R2=420)
+    whole = counting.count_admissible_a(inst)
+    assert whole["num_a"] > whole["num_rs_pairs"] > 0
+    monkeypatch.setattr(counting, "_UNIT_BLOCK", 5)
+    assert counting.count_admissible_a(inst) == whole
+
+
+@pytest.mark.parametrize("radii", [(math.nan, 5), (5, math.nan)])
+def test_congruence_reduction_rejects_nan_radii(radii):
+    # abs(r) > nan and abs(r) <= nan are both false, so a NaN radius bounds no box
+    with pytest.raises(ValueError, match="NaN"):
+        CongruenceReductionInstance(l1=2, l2=3, d1=1, d2=1, c=12, u=1,
+                                    N=SquarefreeModulus.from_int(5), R1=radii[0], R2=radii[1])
+
+
+# -- the matrix oracle can fail ----------------------------------------------
+
+@pytest.mark.parametrize("field", ["x", "y", "delta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_matrix_instance_rejects_non_finite(field, value):
+    kwargs = {"x": 0.0, "y": 1.0, "delta": 0.5, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        MatrixCountInstance(n=1, N=SquarefreeModulus.from_int(1), **kwargs)
+
+
+def test_oracle_decides_the_exact_boundary():
+    # x = 0, y = 1, n = 1: g = (1, 1, 0, 1) has u = |0 - 1|^2 / 4 = 1/4 exactly
+    g = (1, 1, 0, 1)
+    for delta, inside in ((0.25, False), (math.nextafter(0.25, 1), True)):
+        inst = MatrixCountInstance(x=0.0, y=1.0, n=1, N=SquarefreeModulus.from_int(1),
+                                   delta=delta)
+        assert (g in counting.enumerate_matrices_naive(inst, 60)) is inside
+        assert (g in counting.enumerate_R_N_matrices(inst)) is inside
+
+
+@pytest.mark.parametrize("x,y,n,nval,delta,on_boundary", [
+    (-1.0, 1.0, 5, 7, 1.0, (1, -6, 0, 5)),
+    (1.0, 1.0, 5, 6, 1.0, (1, 6, 0, 5)),
+    (-1.0, 1.0, 17, 2, 0.25, (-5, -3, 4, -1)),
+    (-1.0, 1.0, 10, 3, 0.25, (-5, -10, 3, 4)),
+])
+def test_fast_path_excludes_exact_ties(x, y, n, nval, delta, on_boundary):
+    # u(z, g z) = delta exactly; the float u rounds below delta here
+    inst = MatrixCountInstance(x=x, y=y, n=n, N=SquarefreeModulus.from_int(nval), delta=delta)
+    assert point_pair_u(x, y, on_boundary) < delta
+    fast = counting.enumerate_R_N_matrices(inst)
+    assert on_boundary not in fast
+    assert fast == counting.enumerate_matrices_naive(inst, 60)
+
+
+def test_oracle_never_calls_point_pair_u(monkeypatch):
+    inst = MatrixCountInstance(x=0.3, y=0.8, n=6, N=SquarefreeModulus.from_int(1), delta=0.9)
+    fast = counting.enumerate_R_N_matrices(inst)
+
+    def forbidden(*args):
+        raise AssertionError("the oracle called point_pair_u")
+    monkeypatch.setattr(counting, "point_pair_u", forbidden)
+    assert counting.enumerate_matrices_naive(inst, 60) == fast
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_point_pair_u_fault_fails_matrices_ubound(monkeypatch, scale):
+    point_pair = counting.point_pair_u
+    monkeypatch.setattr(counting, "point_pair_u", lambda x, y, g: scale * point_pair(x, y, g))
+    rec, = verify.run_verify(verify.RunConfig(seed=0), "counting/matrices-ubound")["properties"]
+    assert not rec["detail"]["all_equal"] and not rec["passed"]
+
+
+@pytest.mark.parametrize("x,nval,delta", [
+    (1.0, 1, math.nextafter(1.0, 0)), (-1.0, 1, 0.999), (1.0, 2, 0.99), (-1.0, 1, 0.9999999),
+])
+def test_oracle_box_is_complete_at_the_corners(x, nval, delta):
+    # the corner of the verify ranges: |x| = 1, y = 0.3, n = 19, delta near 1
+    inst = MatrixCountInstance(x=x, y=0.3, n=19, N=SquarefreeModulus.from_int(nval),
+                               delta=delta)
+    at_60 = counting.enumerate_matrices_naive(inst, 60)
+    assert at_60 == counting.enumerate_matrices_naive(inst, 120)
+    assert at_60 == counting.enumerate_R_N_matrices(inst)
+
+
+def _exact_u(x, y, g):
+    a, b, c, d = (Fraction(v) for v in g)
+    x, y = Fraction(x), Fraction(y)
+    re, im = c * (x * x - y * y) + (d - a) * x - b, y * (2 * c * x + d - a)
+    return (re * re + im * im) / (4 * (a * d - b * c) * y * y)
+
+
+def _floats_around(q):
+    """The largest float below the rational q and the smallest float above it."""
+    lo = hi = float(q)
+    while Fraction(lo) >= q:
+        lo = math.nextafter(lo, -math.inf)
+    while Fraction(hi) <= q:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_both_paths_decide_delta_one_ulp_from_u(seed):
+    # delta one ulp either side of the exact u(z, gz): rounding alone would
+    # decide some of these, so both paths must settle them exactly
+    rng = random.Random(seed)
+    x, y, n = rng.uniform(-1, 1), rng.uniform(0.3, 2.0), rng.choice([1, 2, 3, 4, 6])
+    level = SquarefreeModulus.from_int(5)
+    mats = counting.enumerate_R_N_matrices(MatrixCountInstance(x=x, y=y, n=n, N=level,
+                                                               delta=1.0))
+    moved = [(g, u) for g in mats if (u := _exact_u(x, y, g)) > 0]
+    for g, u in rng.sample(moved, 5):
+        for delta, inside in zip(_floats_around(u), (False, True)):
+            inst = MatrixCountInstance(x=x, y=y, n=n, N=level, delta=delta)
+            assert (g in counting.enumerate_matrices_naive(inst, 30)) is inside, (g, delta)
+            assert (g in counting.enumerate_R_N_matrices(inst)) is inside, (g, delta)
