@@ -239,8 +239,8 @@ def p_adic_valuation(n: int, p: int) -> int:
 
 def primes_in_interval(lo: float, hi: float, excluded_modulus: SquarefreeModulus | int = 1):
     """Sorted primes p in [lo, hi] with p not dividing the excluded modulus."""
-    if not 2 <= lo <= hi:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    if not 2 <= lo <= hi < math.inf:
+        raise ValueError(f"need 2 <= lo <= hi < inf, got [{lo}, {hi}]")
     n = int(excluded_modulus)
     start = math.ceil(lo)
     stop = math.floor(hi)

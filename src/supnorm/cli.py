@@ -24,7 +24,7 @@ import click
 
 from . import amplifier as amp_mod
 from . import counting, exponents, kloosterman, oscillatory, specfun, transforms, verify
-from .arithmetic import DirichletCharacter, SquarefreeModulus, primes_in_interval
+from .arithmetic import THETA, DirichletCharacter, SquarefreeModulus, primes_in_interval
 
 CONFIG_ENV_VAR = "SUPNORM_CONFIG"
 
@@ -431,7 +431,7 @@ def amplifier_cmd(l_len, n_level, seed, is_variant, output):
 
 
 @main.group("optimize", invoke_without_command=True)
-@click.option("--theta", default="7/64", help="Progress-toward-Ramanujan exponent.")
+@click.option("--theta", default=str(THETA), help="Progress-toward-Ramanujan exponent.")
 @click.option("--emit-trace", is_flag=True, help="Include the full dominance trace.")
 @output_option
 @click.pass_context

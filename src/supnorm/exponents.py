@@ -242,6 +242,8 @@ def theorem1_final(theta: Fraction = THETA) -> dict:
     """Balances the first and third terms of the minor-arc bound against the
     H-term of the major-arc bound, substitutes the solved H and L, splits the
     denominator range at q0 = N^(1/3), and takes the worst surviving term."""
+    if not 0 <= theta <= F(1, 2):
+        raise ValueError(f"theta must lie in [0, 1/2], got {theta}")
     b1 = assemble_bound1(theta)
     b2 = assemble_bound2()
     critical = [b1.monomials[0], b1.monomials[2], b2.monomials[1]]

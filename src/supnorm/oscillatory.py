@@ -46,8 +46,8 @@ class SmoothWindow:
     T: float
 
     def __post_init__(self):
-        if self.Z < 1:
-            raise ValueError(f"need Z >= 1, got {self.Z}")
+        if not 1 <= self.Z < math.inf:
+            raise ValueError(f"need finite Z >= 1, got {self.Z}")
         if not 1 <= self.T <= self.Z:
             raise ValueError(f"need 1 <= T <= Z, got T={self.T}, Z={self.Z}")
 
@@ -142,8 +142,10 @@ class RationalApproximation:
 def dirichlet_approximate(x, H: float) -> RationalApproximation:
     """Best continued-fraction convergent a/q of x with q <= H; then
     |x - a/q| <= 1/(q H) automatically."""
-    if H < 1:
-        raise ValueError(f"need H >= 1, got {H}")
+    if not 1 <= H < math.inf:
+        raise ValueError(f"need finite H >= 1, got {H}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     xf = Fraction(x)
     # convergents of the continued fraction of x
     p_prev, q_prev, p_cur, q_cur = 1, 0, math.floor(xf), 1

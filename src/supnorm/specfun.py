@@ -61,6 +61,8 @@ class ArchimedeanParameter:
 # ---------------------------------------------------------------------------
 
 def bessel_j(order, y: float) -> float:
+    if not (math.isfinite(order) and math.isfinite(y)):
+        raise ValueError(f"order and argument must be finite, got {order}, {y}")
     if y <= 0:
         raise ValueError(f"argument must be positive, got {y}")
     return float(special.jv(order, y))
@@ -72,6 +74,7 @@ _PANEL_PHASE = 12.0  # radians per 16-node panel; 16 nodes integrate 16 rad to 1
 _DECAY = 40.0        # integrands are cut where their envelope is below e^-40
 _BLOCK = 2 ** 17     # (y x node) elements per block, which bounds peak memory
 _HANKEL_CUT = 150.0  # the ratio uses the Hankel expansion for y >= max(150, 1.5 t^2)
+_MAX_PANELS = 2 ** 17  # radial panels; |t| = 1e4 needs about 1.0e5 at y = 1e-3
 
 
 def gauss_legendre_nodes(edges):
@@ -89,9 +92,12 @@ def _radial_nodes(omega: float, p_min: float, p_max: float):
     oscillate like cos(omega asinh(p/y)) plus at most unit frequency in p and
     whose only singularities are at p = +-iy with y >= 4 p_min.  After one
     panel [0, p_min], each panel at p has width min(p, _PANEL_PHASE / (omega/p + 2)):
-    geometric where the log-oscillation dominates, uniform beyond."""
+    geometric where the log-oscillation dominates, uniform beyond.  Raises
+    past _MAX_PANELS panels, before any node array is built."""
     edges = [0.0, p_min]
     while edges[-1] < p_max:
+        if len(edges) > _MAX_PANELS:
+            raise ValueError(f"frequency {omega:g} needs more than {_MAX_PANELS} panels")
         p = edges[-1]
         edges.append(p + min(p, _PANEL_PHASE / (omega / p + 2.0)))
     return gauss_legendre_nodes(edges)
@@ -134,9 +140,9 @@ def _ratio_contour(t: float, y: np.ndarray) -> np.ndarray:
     vertical leg contributes -int_0^theta sin(y cos s) cosh(2ts) ds; the
     horizontal one, in p = y sinh v, decays like e^{-p sin theta}."""
     theta = math.pi / 2 if t <= 2 / math.pi else 1 / t
+    p, wp = _radial_nodes(2 * t, y.min() / 4, _DECAY / math.sin(theta))
     n_vert = math.ceil((y.max() * (1 - math.cos(theta)) + 2 * t * theta) / _PANEL_PHASE)
     s, ws = gauss_legendre_nodes(np.linspace(0.0, theta, n_vert + 1))
-    p, wp = _radial_nodes(2 * t, y.min() / 4, _DECAY / math.sin(theta))
     cos_th, sin_th = math.cos(theta), math.sin(theta)
     ch, sh = math.cosh(2 * t * theta), math.sinh(2 * t * theta)
     vertical = np.cosh(2 * t * s) * ws
@@ -157,6 +163,8 @@ def y_pair_ratio(t: float, y) -> np.ndarray:
     over a 1-d array of y > 0; real, even in t, and Y_0(y) at t = 0.  Contour
     integral below y = max(150, 1.5 t^2), Hankel expansion above."""
     t = abs(float(t))
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     y = _positive_array(y)
     out = np.empty_like(y)
     far = y >= max(_HANKEL_CUT, 1.5 * t * t)
@@ -175,6 +183,8 @@ def k_imag_scaled(t: float, y) -> np.ndarray:
     y cos theta stays positive.  The factor exp(-y cos theta - t theta) is
     carried in the log domain, so K stays relatively accurate where it is e^-300."""
     t = abs(float(t))
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     y = _positive_array(y)
     cap = math.pi / 2 - 1 / t if t > 2 / math.pi else 0.0
     theta = np.minimum(np.arcsin(np.minimum(1.0, t / y)), cap)
@@ -226,7 +236,7 @@ def bessel_k_imag_quadrature(t: float, y: float) -> float:
 
 def bessel_y_imag_pair(t: float, y: float) -> float:
     """Y_{2it}(y) + Y_{-2it}(y); real and even in t by conjugate symmetry."""
-    return 2 * math.cosh(math.pi * t) * float(y_pair_ratio(t, [y])[0])
+    return 2 * float(y_pair_ratio(t, [y])[0]) * math.cosh(math.pi * t)
 
 
 def whittaker_weight(param: ArchimedeanParameter, y: float) -> float:

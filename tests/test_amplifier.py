@@ -68,6 +68,13 @@ def test_is_variant_support():
         amplifier.build_is_amplifier(sys_, 3.0, SquarefreeModulus.from_int(1))
 
 
+@pytest.mark.parametrize("build", [amplifier.build_amplifier, amplifier.build_is_amplifier])
+@pytest.mark.parametrize("length", [math.inf, math.nan])
+def test_builders_reject_non_finite_length(build, length):
+    with pytest.raises(ValueError, match="need 2 <= lo <= hi < inf"):
+        build(_system(0), length, SquarefreeModulus.from_int(1))
+
+
 def test_diagonal_telescopes_to_prime_count():
     for seed in range(10):
         sys_ = _system(seed, modulus=5)

@@ -219,6 +219,21 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
     (["amplifier", "--l", "10", "--n-level", "4"], "4 is not square-free"),
     (["count", "matrices", "--x", "0", "--y", "1", "--n", "1", "--n-level", "1",
       "--delta", "inf"], "x, y and delta must be finite"),
+    (["bessel", "--fn", "Kimag", "--t", "inf", "--y", "1"], "t must be finite, got inf"),
+    (["bessel", "--fn", "Kimag", "--t", "1e200", "--y", "1"],
+     "frequency 1e+200 needs more than 131072 panels"),
+    (["bessel", "--fn", "Ypair", "--t", "1e9", "--y", "1"],
+     "frequency 2e+09 needs more than 131072 panels"),
+    (["transform", "--a", "10", "--b", "2", "--t", "inf"], "t must be finite, got inf"),
+    (["approx", "--x", "inf", "--h", "10"], "x must be finite, got inf"),
+    (["amplifier", "--l", "inf", "--n-level", "5"], "need 2 <= lo <= hi < inf, got [2, inf]"),
+    (["decay", "--z", "inf", "--t", "2", "--alpha", "0.3"], "need finite Z >= 1, got inf"),
+    (["bessel", "--fn", "J", "--order", "2", "--y", "inf"],
+     "order and argument must be finite, got 2.0, inf"),
+    (["bessel", "--fn", "J", "--order", "nan", "--y", "1"],
+     "order and argument must be finite, got nan, 1.0"),
+    (["optimize", "--theta", "5"], "theta must lie in [0, 1/2], got 5"),
+    (["optimize", "--theta", "-1"], "theta must lie in [0, 1/2], got -1"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -97,6 +97,17 @@ def test_theorem1_final_exponents_exact():
     assert rep["constraints"]["satisfied"]
 
 
+@pytest.mark.parametrize("theta", [F(0), F(1, 2)])
+def test_theorem1_final_accepts_theta_range_ends(theta):
+    assert isinstance(exponents.theorem1_final(theta)["exponent_N"], F)
+
+
+@pytest.mark.parametrize("theta", [F(-1, 10 ** 9), F(1, 2) + F(1, 10 ** 9)])
+def test_theorem1_final_rejects_theta_outside_range(theta):
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1/2\]"):
+        exponents.theorem1_final(theta)
+
+
 def test_theorem1_consistency_with_headline():
     rep = exponents.theorem1_final()
     assert rep["exponent_N"] <= F(-1, 37)

@@ -4,12 +4,16 @@ The acceptance tests hold each property to its limit; this file holds it to the
 value it has now, within 1%.  A change that spends accuracy margin (a coarser
 grid, a cheaper evaluator) fails here even while it passes its limit, and must
 update the pin on purpose.  The absolute tolerance only matters for the
-constants at round-off level.
+constants at round-off level.  The whole report, serialized as the CLI writes
+it, must also equal the saved `verify_seed0.json` byte for byte.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from supnorm import verify
+from supnorm import cli, verify
 
 PINS = {
     "transforms/closed-vs-quadrature": 2.726708051e-09,
@@ -29,9 +33,18 @@ PINS = {
 
 
 @pytest.fixture(scope="module")
-def fitted():
-    report = verify.run_verify(verify.RunConfig(seed=0))
+def report():
+    return verify.run_verify(verify.RunConfig(seed=0))
+
+
+@pytest.fixture(scope="module")
+def fitted(report):
     return {rec["id"]: rec["fitted_constant"] for rec in report["properties"]}
+
+
+def test_report_matches_saved_seed0_report(report):
+    text = json.dumps(cli._jsonable(report), indent=2, sort_keys=True) + "\n"
+    assert text == (Path(__file__).parent / "verify_seed0.json").read_text()
 
 
 def test_every_property_is_pinned(fitted):

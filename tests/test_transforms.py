@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,13 +17,6 @@ def test_validation():
         TestFunction(3, 1)  # B >= 2
     assert TestFunction(10, 2).sign == 1
     assert TestFunction(8, 2).sign == -1  # i^(2-8) = i^(-6) = -1
-
-
-def test_phi_eval_matches_definition():
-    tf = TestFunction(10, 2)
-    x = 3.7
-    assert transforms.phi_eval(tf, x) == pytest.approx(
-        float(mp.besselj(10, x)) / x ** 2, rel=1e-12)
 
 
 def test_spec_example_tilde_4_2_t1():
@@ -96,6 +88,30 @@ def test_tilde_even_in_t():
             == transforms.tilde_transform_quadrature(tf, -2.0))
 
 
+def test_closed_tilde_rejects_non_finite_t():
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite"):
+            transforms.tilde_transform_closed(TestFunction(10, 2), t)
+
+
+def test_quadratures_repeat_bit_identically():
+    tf = TestFunction(10, 2)
+    assert (transforms.dot_transform_quadrature(tf, 4)
+            == transforms.dot_transform_quadrature(tf, 4))
+    assert (transforms.tilde_transform_quadrature(tf, 1.0)
+            == transforms.tilde_transform_quadrature(tf, 1.0))
+
+
+def test_cached_grid_and_kernels_are_read_only():
+    transforms.tilde_transform_quadrature(TestFunction(10, 2), 1.0)
+    cached = [*transforms._grid(transforms._DOT_YMAX),
+              transforms._bessel_j_on_grid(3, transforms._DOT_YMAX),
+              transforms._imj_ratio_on_grid(1.0)]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_positivity_certificate():
     cert = transforms.positivity_certificate(TestFunction(10, 2))
     assert cert["dot_all_positive"]
@@ -111,9 +127,3 @@ def test_positivity_holds_at_imaginary_boundary_exactly():
         cert = transforms.positivity_certificate(TestFunction(*pair))
         assert cert["tilde_at_imag_boundary"] > 0
 
-
-def test_decay_admissibility():
-    rep = transforms.decay_admissibility(TestFunction(10, 2))
-    assert rep["vanishing_order_ok"]
-    assert abs(rep["phi_near_zero"]) < 1e-20
-    assert rep["constant"] < 100.0
