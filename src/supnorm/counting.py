@@ -5,13 +5,15 @@ near a point of the upper half-plane.
 
 Everything here is exact integer enumeration plus bound-formula evaluation.
 Each fast enumerator has a second one, of a different algorithm, that the
-`verify` sweeps and the tests compare it with: `enumerate_A` solves for s per
-(c, r1, r2) where `enumerate_A_naive` tests every point of the box in one
-broadcast numpy pass; `enumerate_R_N_matrices` tests u with the float
-`point_pair_u` where `enumerate_matrices_naive` tests the closed form for u
-with a stated rounding margin and exact `Fraction` fallback (`_u_below`).
-`count_admissible_a` walks the units in numpy blocks and checks the ones in the
-box exactly.
+`verify` sweeps and the tests compare it with: `enumerate_A` solves for s,
+grouping the (c, r1, r2) grid by the class of s mod N in int64 numpy passes,
+where `enumerate_A_naive` tests every point of the 4-D box in one broadcast
+pass; `enumerate_R_N_matrices` tests u with the float `point_pair_u` where
+`enumerate_matrices_naive` scans a box derived from the instance
+(`_oracle_box`, which provably holds every g with u(z, gz) < delta) and tests
+the closed form for u with a stated rounding margin and exact `Fraction`
+fallback (`_u_below`).  `count_admissible_a` walks the units in numpy blocks
+and checks the ones in the box exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class BoxLimitError(Exception):
 
 
 BOX_LIMIT = 10 ** 9
-_UNIT_BLOCK = 2 ** 16   # units per numpy pass of the admissible-residue walk
+_UNIT_BLOCK = 2 ** 16   # units, or grid points, per numpy pass of a walk
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +67,52 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
     """All (c, s, r1, r2) with C <= c < 2C, |s| <= S, |r1| <= R, |r2| <= R_tilde
     and N | u^2 d1 d2 c + u (d1 r2 + d2 r1) + s, in lexicographic order.
 
-    For each (c, r1, r2) the admissible s form an arithmetic progression mod N,
-    enumerated directly instead of testing every s.
-    """
+    Solves for s instead of testing it: each grid point (c, r1, r2) fixes the
+    class of s mod N, stored as t = (s + floor S) mod N, and its admissible s
+    are t - floor S + k N for k = 0, 1, ... while s <= floor S.  A stable
+    argsort by (c, t) keeps the (r1, r2) order inside each class, and since
+    s increases with (k, t), the output for one c and one k is a prefix of
+    that c's sorted points: the points with t <= 2 floor S - k N.  So the
+    quadruples are read off prefix by prefix, already sorted, in memory of
+    one block plus the output.  The grid is taken in blocks of whole c values
+    of about `_UNIT_BLOCK` points.  Residues are int64 for N < 2^31 (every
+    |c|, |r| < 2^31 under `BOX_LIMIT`, so each product stays below 2^62) and
+    Python integers above."""
     if inst.box_volume() > BOX_LIMIT:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
-    n = inst.N.value
-    sf = math.floor(inst.S)
+    n, u, sf = inst.N.value, inst.u, math.floor(inst.S)
+    c_axis = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
+    c_axis = c_axis[(c_axis >= inst.C) & (c_axis < 2 * inst.C)]
+    r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1)
+    r2 = np.arange(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1)
+    exact = object if n >= 2 ** 31 else np.int64
+
+    def times(k, v):    # k v mod N over an int64 axis
+        return k % n * v.astype(exact) % n
+    # t = (s + sf) mod N with s = -(u^2 d1 d2 c + u d2 r1 + u d1 r2) mod N
+    t_r = (sf - times(u * inst.d2, r1)[:, None] - times(u * inst.d1, r2)) % n
+    width = min(n, 2 * sf + 1)      # t <= 2 sf for some s, and t < N; k > 0 only if width = N
+    shift = np.arange(2 * sf // width + 1) * width - sf     # s - t for k = 0, 1, ...
+    top = np.minimum(sf - shift, width - 1)                 # the largest t with that k
+    per_c = t_r.size
+    step = max(1, _UNIT_BLOCK // per_c)
     out = []
-    for c in range(math.ceil(inst.C), math.ceil(2 * inst.C)):
-        if not inst.C <= c < 2 * inst.C:
-            continue
-        base_c = inst.u * inst.u * inst.d1 * inst.d2 * c
-        for r1 in range(-math.floor(inst.R), math.floor(inst.R) + 1):
-            for r2 in range(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1):
-                residue = (-(base_c + inst.u * (inst.d1 * r2 + inst.d2 * r1))) % n
-                # s = residue + k*n within [-sf, sf]
-                s = residue - n * ((residue + sf) // n)
-                while s <= sf:
-                    out.append((c, s, r1, r2))
-                    s += n
-    out.sort()
+    for lo in range(0, len(c_axis), step):
+        c = c_axis[lo:lo + step]
+        t = ((t_r - times(u * u * inst.d1 * inst.d2, c)[:, None, None]) % n).ravel()
+        point = np.flatnonzero(t < width) if width < n else np.arange(t.size)
+        key = point // per_c * width + t[point].astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        point, key = point[order], key[order]
+        base = np.arange(len(c))[:, None] * width
+        first = np.searchsorted(key, base)
+        take = (np.searchsorted(key, base + top, side="right") - first).ravel()
+        begin = np.broadcast_to(first, (len(c), len(top))).ravel()
+        pick = np.repeat(begin - (np.cumsum(take) - take), take) + np.arange(take.sum())
+        ic, ir = np.divmod(point[pick], per_c)
+        s = key[pick] - ic * width + np.repeat(np.tile(shift, len(c)), take)
+        out += zip(c[ic].tolist(), s.tolist(), r1[ir // len(r2)].tolist(),
+                   r2[ir % len(r2)].tolist())
     return out
 
 
@@ -355,28 +382,59 @@ def _signed_divisors(n: int) -> list[int]:
     return ds
 
 
-def enumerate_matrices_naive(inst: MatrixCountInstance, entry_bound: int) -> list[tuple]:
-    """Oracle for enumerate_R_N_matrices: a full scan of |a|, |b|, |d| <= entry_bound,
-    0 <= c <= entry_bound with N | c, with an exact u-test in place of
-    `point_pair_u`.  For each c the (a, d) grid is one int64 array, and
-    c | ad - n fixes b; for c = 0, ad = n and b runs over the whole range."""
-    n, B = inst.n, entry_bound
-    if (B // inst.N.value + 1) * (2 * B + 1) ** 2 > BOX_LIMIT:
+def _oracle_box(inst: MatrixCountInstance, cap: int | None = None) -> tuple[int, int, int]:
+    """Integer bounds (c_max, ad_max, b_max) with 0 <= c <= c_max,
+    |a|, |d| <= ad_max and |b| <= b_max for every g with u(z, gz) < delta.
+
+    With sigma = [[sqrt y, x/sqrt y], [0, 1/sqrt y]], so that sigma i = z,
+
+        h = sigma^-1 g sigma = [[a - cx, (b + (a - d)x - cx^2)/y], [cy, cx + d]]
+
+    has det h = n and |h|_F^2 = n (4 u(z, gz) + 2), so each entry of h is below
+    rho = sqrt(n (4 delta + 2)).  Hence c < rho/y, |a|, |d| < rho (1 + |x|/y) and,
+    with |a - d| < 2 rho + 2c|x|, |b| < rho (y + |x| (2 + 3|x|/y)).  Each bound
+    is built from non-negative floats in at most 10 roundings, so its float
+    value is within gamma_10 < 1.2e-15 (relative) of the real one, plus
+    underflow terms far below 1 (Higham, Lemma 3.1); it is multiplied by
+    1 + 1e-12 and rounded up, which covers both.  A bound that overflows is
+    inf and fails the volume cap.  `cap`, when given, bounds every entry as well."""
+    x, y = abs(inst.x), inst.y
+    rho = math.sqrt(inst.n * (4 * inst.delta + 2))
+    limit = math.inf if cap is None else cap
+    bounds = [min(v * (1 + 1e-12), limit)
+              for v in (rho / y, rho * (1 + x / y), rho * (y + x * (2 + 3 * x / y)))]
+    c_max, ad_max, b_max = bounds
+    side = 2 * ad_max + 1       # a product, not ** 2, overflows to inf without raising
+    if (c_max / inst.N.value + 1) * side * side + 2 * b_max > BOX_LIMIT:
         raise BoxLimitError("matrix oracle box exceeds cap")
-    axis = np.arange(-B, B + 1)
+    return tuple(math.ceil(v) for v in bounds)
+
+
+def enumerate_matrices_naive(inst: MatrixCountInstance,
+                             entry_bound: int | None = None) -> list[tuple]:
+    """Oracle for enumerate_R_N_matrices: a full scan of the box `_oracle_box`,
+    which holds every solution, with N | c and an exact u-test in place of
+    `point_pair_u`.  For each c the (a, d) grid is one int64 array, and
+    c | ad - n fixes b; for c = 0, ad = n and b runs over the whole range.
+    `entry_bound`, when given, caps every entry, so the scan returns the
+    solutions with all entries at most that bound."""
+    n = inst.n
+    c_max, ad_max, b_max = _oracle_box(inst, entry_bound)
+    axis = np.arange(-ad_max, ad_max + 1)
+    b_axis = np.arange(-b_max, b_max + 1)
     a, d = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
     rem = a * d - n
     cands = []
-    for c in range(0, B + 1, inst.N.value):
+    for c in range(0, c_max + 1, inst.N.value):
         if c == 0:
             on = rem == 0
-            b = np.tile(axis, on.sum())
-            cands.append((np.repeat(a[on], len(axis)), b, np.zeros_like(b),
-                          np.repeat(d[on], len(axis))))
+            b = np.tile(b_axis, on.sum())
+            cands.append((np.repeat(a[on], len(b_axis)), b, np.zeros_like(b),
+                          np.repeat(d[on], len(b_axis))))
         else:
             on = rem % c == 0
             b = rem[on] // c
-            fit = np.abs(b) <= B
+            fit = np.abs(b) <= b_max
             cands.append((a[on][fit], b[fit], np.full(fit.sum(), c), d[on][fit]))
     cand = [np.concatenate(v) for v in zip(*cands)]
     below = _u_below(inst, *cand)

@@ -179,6 +179,8 @@ def lemma4_decay_check(w: SmoothWindow, alpha, j: int = 2) -> dict:
     finite because the window has compact support."""
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     norm = distance_to_nearest_integer(alpha)
     if norm == 0:
         raise ValueError("alpha must not be an integer")

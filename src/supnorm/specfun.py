@@ -235,8 +235,16 @@ def bessel_k_imag_quadrature(t: float, y: float) -> float:
 
 
 def bessel_y_imag_pair(t: float, y: float) -> float:
-    """Y_{2it}(y) + Y_{-2it}(y); real and even in t by conjugate symmetry."""
-    return 2 * float(y_pair_ratio(t, [y])[0]) * math.cosh(math.pi * t)
+    """Y_{2it}(y) + Y_{-2it}(y); real and even in t by conjugate symmetry.
+    Raises ValueError where the pair itself overflows float64."""
+    ratio = 2 * float(y_pair_ratio(t, [y])[0])
+    try:
+        value = ratio * math.cosh(math.pi * t)
+    except OverflowError:   # cosh(pi t) passes 2^1024 at |t| ~ 226, a little before the pair
+        value = float(ratio * mp.cosh(mp.pi * t))
+    if math.isinf(value):
+        raise ValueError(f"the Y pair overflows float64 at t = {t}")
+    return value
 
 
 def whittaker_weight(param: ArchimedeanParameter, y: float) -> float:

@@ -184,8 +184,7 @@ def sweep_congruence(rng: random.Random, n_instances: int = 100) -> dict:
     return {"instances": done, "violations": violations, "multiplicity_ok": mult_ok}
 
 
-def sweep_matrices(rng: random.Random, n_instances: int = 50,
-                   naive_bound: int = 60) -> dict:
+def sweep_matrices(rng: random.Random, n_instances: int = 50) -> dict:
     all_equal = True
     ubound_const = 0.0
     done = 0
@@ -198,7 +197,7 @@ def sweep_matrices(rng: random.Random, n_instances: int = 50,
             x=rng.uniform(-1, 1), y=rng.uniform(0.3, 2.0), n=n,
             N=SquarefreeModulus.from_int(nval), delta=rng.uniform(0.0, 1.0))
         ours = counting.enumerate_R_N_matrices(inst)
-        naive = counting.enumerate_matrices_naive(inst, naive_bound)
+        naive = counting.enumerate_matrices_naive(inst)
         if ours != naive:
             all_equal = False
         split = counting.matrix_count_split(inst)

@@ -234,6 +234,10 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
      "order and argument must be finite, got nan, 1.0"),
     (["optimize", "--theta", "5"], "theta must lie in [0, 1/2], got 5"),
     (["optimize", "--theta", "-1"], "theta must lie in [0, 1/2], got -1"),
+    (["bessel", "--fn", "Ypair", "--t", "300", "--y", "1"],
+     "the Y pair overflows float64 at t = 300.0"),
+    (["decay", "--z", "256", "--t", "2", "--alpha", "inf"], "alpha must be finite, got inf"),
+    (["decay", "--z", "256", "--t", "2", "--alpha", "nan"], "alpha must be finite, got nan"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -130,7 +131,7 @@ def test_matrix_dual_oracle(x, y, n, nval, delta):
             return
     inst = MatrixCountInstance(x=x, y=y, n=n,
                                N=SquarefreeModulus.from_int(nval), delta=delta)
-    assert counting.enumerate_R_N_matrices(inst) == counting.enumerate_matrices_naive(inst, 60)
+    assert counting.enumerate_R_N_matrices(inst) == counting.enumerate_matrices_naive(inst)
 
 
 def test_matrix_validation():
@@ -180,6 +181,68 @@ def test_bound_check_reuses_the_plain_list():
         rep = counting.lemma10_bound_check(inst, which)
         assert counting.lemma10_bound_check(inst, which, plain) == rep
         assert rep["bound"] == counting.lemma10_bound(inst, which)
+
+
+# -- box quadruples: the numpy passes against the per-(c, r1, r2) loop --------
+
+def _enumerate_A_loop(inst):
+    """The per-(c, r1, r2) loop the numpy passes replaced, kept as their reference."""
+    n, sf = inst.N.value, math.floor(inst.S)
+    out = []
+    for c in range(math.ceil(inst.C), math.ceil(2 * inst.C)):
+        if not inst.C <= c < 2 * inst.C:
+            continue
+        for r1 in range(-math.floor(inst.R), math.floor(inst.R) + 1):
+            for r2 in range(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1):
+                residue = (-(inst.u ** 2 * inst.d1 * inst.d2 * c
+                             + inst.u * (inst.d1 * r2 + inst.d2 * r1))) % n
+                s = residue - n * ((residue + sf) // n)
+                while s <= sf:
+                    out.append((c, s, r1, r2))
+                    s += n
+    out.sort()
+    return out
+
+
+_BIG_N = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53  # > 2^64
+
+
+@pytest.mark.parametrize("C,S,R,Rt,d1,d2,u,n", [
+    (1, 0, 0, 0, 1, 1, 1, 1),                  # N = 1: every s is admissible
+    (3.5, 0, 2.7, 1.2, 2, 3, 4, 7),            # S = 0 and fractional C, R
+    (2.25, 9.9, 0.5, 3.999, 1, 2, 5, 11),
+    (4, 20, 3, 3, 3, 1, 1000, 1001),           # N > 2S + 1: at most one s per point
+    (6, 2, 5, 4, 2, 2, 2 ** 40 + 3, 2147483659),   # N >= 2^31: Python-integer residues
+    (3, 7, 2, 2, 1, 1, 10 ** 30 + 1, _BIG_N),
+    (5, 1e6, 0, 0, 2, 3, 7, _BIG_N),
+])
+def test_enumerate_A_matches_the_loop(C, S, R, Rt, d1, d2, u, n):
+    inst = CountingInstance(C=C, S=S, R=R, R_tilde=Rt, d1=d1, d2=d2, u=u,
+                            N=SquarefreeModulus.from_int(n))
+    assert counting.enumerate_A(inst) == _enumerate_A_loop(inst)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_enumerate_A_matches_the_loop_on_random_boxes(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.choice([1, 2, 3, 5, 6, 7, 30, 31, 1001])
+        inst = CountingInstance(
+            C=rng.choice([1, rng.randint(1, 9), rng.uniform(1, 9)]),
+            S=rng.choice([0, rng.randint(0, 25), rng.uniform(0, 25)]),
+            R=rng.choice([0, rng.uniform(0, 5)]), R_tilde=rng.uniform(0, 5),
+            d1=rng.randint(1, 4), d2=rng.randint(1, 4), u=rng.randint(1, 3 * n),
+            N=SquarefreeModulus.from_int(n))
+        assert counting.enumerate_A(inst) == _enumerate_A_loop(inst), inst
+
+
+def test_enumerate_A_does_not_depend_on_block_size(monkeypatch):
+    inst = _instance(7.5, 13, 3, 4, d1=2, d2=3, u=4, n=7)
+    whole = counting.enumerate_A(inst)
+    assert len(whole) > 100
+    for block in (1, 2 * 63, 5 * 63):      # 63 grid points per c: 1, 2 and 5 c values a block
+        monkeypatch.setattr(counting, "_UNIT_BLOCK", block)
+        assert counting.enumerate_A(inst) == whole
 
 
 # -- admissible residues: the vectorised walk against the per-unit loop -------
@@ -270,7 +333,7 @@ def test_oracle_decides_the_exact_boundary():
     for delta, inside in ((0.25, False), (math.nextafter(0.25, 1), True)):
         inst = MatrixCountInstance(x=0.0, y=1.0, n=1, N=SquarefreeModulus.from_int(1),
                                    delta=delta)
-        assert (g in counting.enumerate_matrices_naive(inst, 60)) is inside
+        assert (g in counting.enumerate_matrices_naive(inst)) is inside
         assert (g in counting.enumerate_R_N_matrices(inst)) is inside
 
 
@@ -286,7 +349,7 @@ def test_fast_path_excludes_exact_ties(x, y, n, nval, delta, on_boundary):
     assert point_pair_u(x, y, on_boundary) < delta
     fast = counting.enumerate_R_N_matrices(inst)
     assert on_boundary not in fast
-    assert fast == counting.enumerate_matrices_naive(inst, 60)
+    assert fast == counting.enumerate_matrices_naive(inst)
 
 
 def test_oracle_never_calls_point_pair_u(monkeypatch):
@@ -296,7 +359,7 @@ def test_oracle_never_calls_point_pair_u(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle called point_pair_u")
     monkeypatch.setattr(counting, "point_pair_u", forbidden)
-    assert counting.enumerate_matrices_naive(inst, 60) == fast
+    assert counting.enumerate_matrices_naive(inst) == fast
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5])
@@ -311,12 +374,81 @@ def test_point_pair_u_fault_fails_matrices_ubound(monkeypatch, scale):
     (1.0, 1, math.nextafter(1.0, 0)), (-1.0, 1, 0.999), (1.0, 2, 0.99), (-1.0, 1, 0.9999999),
 ])
 def test_oracle_box_is_complete_at_the_corners(x, nval, delta):
-    # the corner of the verify ranges: |x| = 1, y = 0.3, n = 19, delta near 1
+    # the corner of the verify ranges: |x| = 1, y = 0.3, n = 19, delta near 1.
+    # Every solution in the cube |entries| <= 120, found here by a scan of its
+    # own, lies in the oracle's derived box.
     inst = MatrixCountInstance(x=x, y=0.3, n=19, N=SquarefreeModulus.from_int(nval),
                                delta=delta)
-    at_60 = counting.enumerate_matrices_naive(inst, 60)
-    assert at_60 == counting.enumerate_matrices_naive(inst, 120)
-    assert at_60 == counting.enumerate_R_N_matrices(inst)
+    axis = np.arange(-120, 121)
+    a, d = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
+    hits = []
+    for c in range(0, 121, nval):
+        if c == 0:
+            on = a * d == 19
+            ga, gb = np.repeat(a[on], len(axis)), np.tile(axis, on.sum())
+            gd = np.repeat(d[on], len(axis))
+        else:
+            on = (a * d - 19) % c == 0
+            ga, gd, gb = a[on], d[on], (a[on] * d[on] - 19) // c
+            keep = np.abs(gb) <= 120
+            ga, gb, gd = ga[keep], gb[keep], gd[keep]
+        gc = np.full(len(ga), c)
+        below = counting._u_below(inst, ga, gb, gc, gd)
+        hits += zip(ga[below].tolist(), gb[below].tolist(), gc[below].tolist(),
+                    gd[below].tolist())
+    c_max, ad_max, b_max = counting._oracle_box(inst)
+    assert hits
+    for a_, b_, c_, d_ in hits:
+        assert c_ <= c_max and max(abs(a_), abs(d_)) <= ad_max and abs(b_) <= b_max
+    assert sorted(hits) == counting.enumerate_matrices_naive(inst)
+    assert sorted(hits) == counting.enumerate_R_N_matrices(inst)
+
+
+def _mobius_u(x, y, g):
+    """u(z, gz) from the Mobius action itself, in exact arithmetic."""
+    a, b, c, d = g
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    wr, wi = ((a * x + b) * (c * x + d) + a * c * y * y) / den, (a * d - b * c) * y / den
+    return ((x - wr) ** 2 + (y - wi) ** 2) / (4 * y * wi)
+
+
+def _matmul(p, q):
+    return tuple(tuple(sum(p[i][k] * q[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_conjugated_frobenius_norm_is_n_times_4u_plus_2(seed):
+    # y = s^2 with s rational, so sigma = [[s, x/s], [0, 1/s]] is rational too
+    rng = random.Random(seed)
+    for _ in range(50):
+        a, b, c, d = (rng.randint(-30, 30) for _ in range(4))
+        n = a * d - b * c
+        if n <= 0:
+            continue
+        x, s = Fraction(rng.randint(-99, 99), 37), Fraction(rng.randint(1, 99), 23)
+        y = s * s
+        sigma, sigma_inv = ((s, x / s), (0, 1 / s)), ((1 / s, -x / s), (0, s))
+        h = _matmul(_matmul(sigma_inv, ((a, b), (c, d))), sigma)
+        assert h == ((a - c * x, (b + (a - d) * x - c * x * x) / y), (c * y, c * x + d))
+        assert sum(v * v for row in h for v in row) == n * (4 * _mobius_u(x, y, (a, b, c, d)) + 2)
+
+
+def test_entry_bound_caps_every_entry():
+    inst = MatrixCountInstance(x=0.7, y=0.4, n=6, N=SquarefreeModulus.from_int(1), delta=0.9)
+    full = counting.enumerate_matrices_naive(inst)
+    capped = counting.enumerate_matrices_naive(inst, 4)
+    assert capped == [g for g in full if max(abs(v) for v in g) <= 4]
+    assert len(full) > len(capped) > 0
+    assert counting.enumerate_matrices_naive(inst, 60) == full
+
+
+@pytest.mark.parametrize("y,delta", [(1e-300, 0.5), (1.0, 1e308), (0.3, 1e6)])
+def test_oracle_box_over_the_cap(y, delta):
+    inst = MatrixCountInstance(x=0.5, y=y, n=3, N=SquarefreeModulus.from_int(1), delta=delta)
+    with pytest.raises(BoxLimitError):
+        counting.enumerate_matrices_naive(inst)
+    counting.enumerate_matrices_naive(inst, 20)      # the capped scan is small
 
 
 def _exact_u(x, y, g):
@@ -349,5 +481,5 @@ def test_both_paths_decide_delta_one_ulp_from_u(seed):
     for g, u in rng.sample(moved, 5):
         for delta, inside in zip(_floats_around(u), (False, True)):
             inst = MatrixCountInstance(x=x, y=y, n=n, N=level, delta=delta)
-            assert (g in counting.enumerate_matrices_naive(inst, 30)) is inside, (g, delta)
+            assert (g in counting.enumerate_matrices_naive(inst)) is inside, (g, delta)
             assert (g in counting.enumerate_R_N_matrices(inst)) is inside, (g, delta)

@@ -101,6 +101,19 @@ def test_scalar_wrappers_match_the_array_evaluators():
             2 * math.pi * plus[i], rel=1e-13, abs=1e-15)
 
 
+@pytest.mark.parametrize("t", [226.5, -227.0])
+def test_bessel_y_imag_pair_past_cosh_overflow(t):
+    # cosh(pi t) overflows float64 here, but the pair 2 ratio cosh(pi t) does not
+    with pytest.raises(OverflowError):
+        math.cosh(math.pi * t)
+    value = specfun.bessel_y_imag_pair(t, 1.0)
+    ratio = float(specfun.y_pair_ratio(t, [1.0])[0])
+    assert math.isfinite(value)
+    assert float(mp.mpf(value) / mp.cosh(mp.pi * t)) == pytest.approx(2 * ratio, rel=1e-14)
+    with pytest.raises(ValueError, match="overflows float64"):
+        specfun.bessel_y_imag_pair(300.0, 1.0)
+
+
 def test_bessel_y_imag_pair_real_and_t_zero():
     assert specfun.bessel_y_imag_pair(0.0, 2.0) == pytest.approx(2 * float(special.yv(0, 2.0)))
     # continuity of the pair at small t
