@@ -152,16 +152,14 @@ class DirichletCharacter:
         return DirichletCharacter(mod, exps)
 
 
-def enumerate_characters(n: int, even_only: bool = False):
-    """All Dirichlet characters mod square-free n (optionally only even ones)."""
+def enumerate_characters(n: int):
+    """All Dirichlet characters mod square-free n."""
     mod = SquarefreeModulus.from_int(n)
     odd_primes = [p for p in mod.prime_factors if p != 2]
 
     def rec(i, exps):
         if i == len(odd_primes):
-            chi = DirichletCharacter(mod, dict(exps))
-            if not even_only or chi.is_even():
-                yield chi
+            yield DirichletCharacter(mod, dict(exps))
             return
         p = odd_primes[i]
         for m in range(p - 1):

@@ -42,13 +42,8 @@ def _jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (exponents.Monomial, exponents.Bound)):
+    if isinstance(obj, exponents.Monomial):
         return str(obj)
-    if isinstance(obj, SquarefreeModulus):
-        return int(obj)
-    if isinstance(obj, DirichletCharacter):
-        return {"modulus": int(obj.modulus),
-                "exponents": _jsonable(dict(obj.component_exponents))}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

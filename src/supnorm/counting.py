@@ -6,7 +6,7 @@ near a point of the upper half-plane.
 Everything here is exact integer enumeration plus bound-formula evaluation.
 Each fast enumerator has a second one, of a different algorithm, that the
 `verify` sweeps and the tests compare it with: `enumerate_A` solves for s,
-grouping the (c, r1, r2) grid by the class of s mod N in int64 numpy passes,
+repeating each (c, r1, r2) grid point once per admissible s in numpy passes,
 where `enumerate_A_naive` tests every point of the 4-D box in one broadcast
 pass; `enumerate_R_N_matrices` tests u with the float `point_pair_u` where
 `enumerate_matrices_naive` scans a box derived from the instance
@@ -68,16 +68,13 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
     and N | u^2 d1 d2 c + u (d1 r2 + d2 r1) + s, in lexicographic order.
 
     Solves for s instead of testing it: each grid point (c, r1, r2) fixes the
-    class of s mod N, stored as t = (s + floor S) mod N, and its admissible s
-    are t - floor S + k N for k = 0, 1, ... while s <= floor S.  A stable
-    argsort by (c, t) keeps the (r1, r2) order inside each class, and since
-    s increases with (k, t), the output for one c and one k is a prefix of
-    that c's sorted points: the points with t <= 2 floor S - k N.  So the
-    quadruples are read off prefix by prefix, already sorted, in memory of
-    one block plus the output.  The grid is taken in blocks of whole c values
-    of about `_UNIT_BLOCK` points.  Residues are int64 for N < 2^31 (every
-    |c|, |r| < 2^31 under `BOX_LIMIT`, so each product stays below 2^62) and
-    Python integers above."""
+    class of s mod N, so its admissible s are the least one, t - floor S with
+    t = (s + floor S) mod N, and the ones N, 2N, ... above it up to floor S.
+    The grid is taken in blocks of whole c values of about `_UNIT_BLOCK`
+    points; each point of a block is repeated once per admissible s, and the
+    block is sorted once, stably, by (c, s), which keeps the (r1, r2) order.
+    Residues are int64 for N < 2^31 (every |c|, |r| < 2^31 under `BOX_LIMIT`,
+    so each product stays below 2^62) and Python integers above."""
     if inst.box_volume() > BOX_LIMIT:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n, u, sf = inst.N.value, inst.u, math.floor(inst.S)
@@ -91,27 +88,19 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
         return k % n * v.astype(exact) % n
     # t = (s + sf) mod N with s = -(u^2 d1 d2 c + u d2 r1 + u d1 r2) mod N
     t_r = (sf - times(u * inst.d2, r1)[:, None] - times(u * inst.d1, r2)) % n
-    width = min(n, 2 * sf + 1)      # t <= 2 sf for some s, and t < N; k > 0 only if width = N
-    shift = np.arange(2 * sf // width + 1) * width - sf     # s - t for k = 0, 1, ...
-    top = np.minimum(sf - shift, width - 1)                 # the largest t with that k
     per_c = t_r.size
     step = max(1, _UNIT_BLOCK // per_c)
     out = []
     for lo in range(0, len(c_axis), step):
         c = c_axis[lo:lo + step]
         t = ((t_r - times(u * u * inst.d1 * inst.d2, c)[:, None, None]) % n).ravel()
-        point = np.flatnonzero(t < width) if width < n else np.arange(t.size)
-        key = point // per_c * width + t[point].astype(np.int64)
-        order = np.argsort(key, kind="stable")
-        point, key = point[order], key[order]
-        base = np.arange(len(c))[:, None] * width
-        first = np.searchsorted(key, base)
-        take = (np.searchsorted(key, base + top, side="right") - first).ravel()
-        begin = np.broadcast_to(first, (len(c), len(top))).ravel()
-        pick = np.repeat(begin - (np.cumsum(take) - take), take) + np.arange(take.sum())
-        ic, ir = np.divmod(point[pick], per_c)
-        s = key[pick] - ic * width + np.repeat(np.tile(shift, len(c)), take)
-        out += zip(c[ic].tolist(), s.tolist(), r1[ir // len(r2)].tolist(),
+        count = ((2 * sf - t) // n + 1).astype(np.int64)    # 0 when t > 2 sf, as t < N
+        point = np.repeat(np.arange(t.size), count)
+        k = np.arange(point.size) - np.repeat(np.cumsum(count) - count, count)
+        s = (t[point] - sf + k.astype(exact) * n).astype(np.int64)
+        order = np.argsort(point // per_c * (2 * sf + 1) + s, kind="stable")
+        ic, ir = np.divmod(point[order], per_c)
+        out += zip(c[ic].tolist(), s[order].tolist(), r1[ir // len(r2)].tolist(),
                    r2[ir % len(r2)].tolist())
     return out
 
@@ -119,15 +108,18 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
 def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
     """Independent second enumerator: tests the divisibility at every point of
     the box, with the four 1-D axes (c, s, r1, r2) broadcast against each other,
-    and reads the quadruples off `np.nonzero`, whose C order is lexicographic."""
+    and reads the quadruples off `np.nonzero`, whose C order is lexicographic.
+    The axes are int64 for N < 2^31, where no residue sum reaches 2^63, and
+    Python integers above."""
     if inst.box_volume() > BOX_LIMIT:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n, u = inst.N.value, inst.u
+    exact = object if n >= 2 ** 31 else np.int64
     c = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
-    c = c[(c >= inst.C) & (c < 2 * inst.C)]
-    s = np.arange(-math.floor(inst.S), math.floor(inst.S) + 1)
-    r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1)
-    r2 = np.arange(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1)
+    c = c[(c >= inst.C) & (c < 2 * inst.C)].astype(exact)
+    s = np.arange(-math.floor(inst.S), math.floor(inst.S) + 1).astype(exact)
+    r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1).astype(exact)
+    r2 = np.arange(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1).astype(exact)
     # N | head + u d1 r2, with head the residue of every other term over (c, s, r1)
     head = (u * u * inst.d1 * inst.d2 % n * c[:, None, None] + s[:, None]
             + u * inst.d2 % n * r1) % n
@@ -487,9 +479,9 @@ def matrix_count_split(inst: MatrixCountInstance) -> dict:
     return {"M": m0 + mstar, "M0": m0, "Mstar": mstar, "excluded_negative": excluded}
 
 
-def ubound_value(inst: MatrixCountInstance, eps: float = 0.1) -> float:
-    """Reference shape n^eps (1 + sqrt(n delta) y) for the c = 0 count."""
-    return inst.n ** eps * (1 + math.sqrt(inst.n * inst.delta) * inst.y)
+def ubound_value(inst: MatrixCountInstance) -> float:
+    """Reference shape n^eps (1 + sqrt(n delta) y), eps = 0.1, for the c = 0 count."""
+    return inst.n ** 0.1 * (1 + math.sqrt(inst.n * inst.delta) * inst.y)
 
 
 def geometric_kernel(u: float, T: float, n: int) -> float:

@@ -90,9 +90,6 @@ class Bound:
             raise ValueError("a bound needs at least one monomial")
         return cls(monomials=tuple(dict.fromkeys(monomials)))
 
-    def substitute(self, mapping: dict) -> "Bound":
-        return Bound.of(*(m.substitute(mapping) for m in self.monomials))
-
 
 # ---------------------------------------------------------------------------
 # the composite bounds
@@ -174,15 +171,16 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> lis
     return [row[n:] for row in rows]
 
 
-def solve_balance(terms, unknowns: tuple[str, ...] = ("H", "L")) -> dict:
+def solve_balance(terms) -> dict:
     """Equates the N- and t*-exponents of the supplied terms after Z -> t* N,
-    with each unknown X = N^x1 (t*)^x2, and solves the linear system exactly.
+    with each unknown X of H, L = N^x1 (t*)^x2, and solves the system exactly.
 
     The N- and t*-exponents decouple into two systems with the same matrix,
     one row per term after the first: sum_u (c_j,u - c_0,u) x_u = e_0 - e_j,
     where c_j,u is the power of unknown u in term j and e_j its own exponent.
 
     Returns {unknown: Monomial in N, t*}."""
+    unknowns = ("H", "L")
     terms = [t.substitute(Z_SUBSTITUTION) for t in terms]
     if len(terms) != len(unknowns) + 1:
         raise ValueError("need exactly one more term than unknowns")
@@ -194,6 +192,7 @@ def solve_balance(terms, unknowns: tuple[str, ...] = ("H", "L")) -> dict:
 
 
 T_STAR_MAX = F(1, 165)  # allowed range: 1 <= t* <= N^(1/165)
+_CORNERS = (F(0), T_STAR_MAX)  # the values of tau, with t* = N^tau, at its ends
 
 
 def _n_exponent_at_corner(m: Monomial, tau: Fraction) -> Fraction:
@@ -204,20 +203,19 @@ def _n_exponent_at_corner(m: Monomial, tau: Fraction) -> Fraction:
     return m.exponent("N") + m.exponent("t_star") * tau
 
 
-def dominates(candidate: Monomial, others, corners=(F(0), T_STAR_MAX)) -> bool:
-    """candidate >= every other monomial at all corners of the t*-range."""
+def dominates(candidate: Monomial, others) -> bool:
+    """candidate >= every other monomial at both corners of the t*-range."""
     return all(
         _n_exponent_at_corner(candidate, tau) >= _n_exponent_at_corner(m, tau)
-        for m in others for tau in corners
+        for m in others for tau in _CORNERS
     )
 
 
-def check_parameter_constraints(H: Monomial, L: Monomial,
-                                corners=(F(0), T_STAR_MAX)) -> dict:
+def check_parameter_constraints(H: Monomial, L: Monomial) -> dict:
     """The solved H, L must satisfy max(N^(1/100), (t*)^3) <= L <= N and
     t* L^2 <= H <= N over the whole t*-range (checked at corners)."""
     results = {}
-    for tau in corners:
+    for tau in _CORNERS:
         l_val = _n_exponent_at_corner(L, tau)
         h_val = _n_exponent_at_corner(H, tau)
         results[str(tau)] = {

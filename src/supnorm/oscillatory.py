@@ -60,9 +60,9 @@ class SmoothWindow:
     def support(self) -> tuple[float, float]:
         return (self.Z / 2, 2 * self.Z)
 
-    def derivative_constants(self, j_max: int = 4, n_grid: int = 2000) -> list[float]:
-        """Fitted C_j with sup |window^(j)| <= C_j T^-j, finite differences."""
-        x = np.linspace(self.Z / 2 - self.T, 2 * self.Z + self.T, n_grid)
+    def derivative_constants(self, j_max: int = 4) -> list[float]:
+        """Fitted C_j with sup |window^(j)| <= C_j T^-j, finite differences on 2000 points."""
+        x = np.linspace(self.Z / 2 - self.T, 2 * self.Z + self.T, 2000)
         h = self.T / 50
         offsets = range(-j_max, j_max + 1)
         table = {i: self(x + i * h) for i in offsets}
@@ -107,12 +107,13 @@ class DyadicPartition:
         out = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
         return out if out.ndim else float(out)
 
-    def partition_check(self, x_grid, max_level: int = 64) -> dict:
+    def partition_check(self, x_grid) -> dict:
+        """The deviation of sum_{nu < 64} G(x / 2^nu) from 1 over x_grid."""
         x = np.asarray(x_grid, dtype=float)
         if np.any(x < 1):
             raise ValueError("partition identity is asserted for x >= 1 only")
         total = np.zeros_like(x)
-        for nu in range(max_level):
+        for nu in range(64):
             total += self(x / 2.0 ** nu)
         worst = float(np.max(np.abs(total - 1.0)))
         return {"max_deviation": worst, "points": len(x)}
@@ -146,6 +147,7 @@ def dirichlet_approximate(x, H: float) -> RationalApproximation:
         raise ValueError(f"need finite H >= 1, got {H}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
+    H = float(H)    # the cap the result records, so that q <= H holds there too
     xf = Fraction(x)
     # convergents of the continued fraction of x
     p_prev, q_prev, p_cur, q_cur = 1, 0, math.floor(xf), 1
@@ -159,7 +161,7 @@ def dirichlet_approximate(x, H: float) -> RationalApproximation:
             break
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
     return RationalApproximation(
-        x=float(x), a=p_cur, q=q_cur, H=float(H), beta=float(xf - Fraction(p_cur, q_cur))
+        x=float(x), a=p_cur, q=q_cur, H=H, beta=float(xf - Fraction(p_cur, q_cur))
     )
 
 
@@ -248,10 +250,8 @@ def lemma6_bound2(Z: float, T: float, t_star: float, alpha: float, j: int) -> fl
 # major-arc bound
 # ---------------------------------------------------------------------------
 
-def lemma8_bound(q: int, beta: float, Z: float, t_star: float,
-                 eps_factor: float = 1.0) -> float:
-    """t*^{3/2} q (|beta|^{3/2} Z + t*^{3/2} / Z^{1/2}), times the supplied
-    stand-in for the epsilon power."""
+def lemma8_bound(q: int, beta: float, Z: float, t_star: float) -> float:
+    """t*^{3/2} q (|beta|^{3/2} Z + t*^{3/2} / Z^{1/2}), epsilon power set to 1."""
     if q < 1 or Z < 1 or t_star < 1:
         raise ValueError("require q >= 1, Z >= 1, t* >= 1")
-    return eps_factor * t_star ** 1.5 * q * (abs(beta) ** 1.5 * Z + t_star ** 1.5 / math.sqrt(Z))
+    return t_star ** 1.5 * q * (abs(beta) ** 1.5 * Z + t_star ** 1.5 / math.sqrt(Z))

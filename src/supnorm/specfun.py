@@ -284,12 +284,13 @@ def voronoi_kernel(param: ArchimedeanParameter, sign: str, y: float) -> float:
 # inequality / identity checkers
 # ---------------------------------------------------------------------------
 
-def check_derivative_recurrences(order: float, y_grid, h: float = 1e-5) -> dict:
-    """Central finite differences of J_r and K_r against
+def check_derivative_recurrences(order: float, y_grid) -> dict:
+    """Central finite differences (step 1e-5) of J_r and K_r against
     J_r' = (J_{r-1} - J_{r+1})/2 and K_r' = -(K_{r-1} + K_{r+1})/2."""
     worst_j = 0.0
     worst_k = 0.0
     r = float(order)
+    h = 1e-5
     for y in y_grid:
         fd_j = (special.jv(r, y + h) - special.jv(r, y - h)) / (2 * h)
         rec_j = 0.5 * (special.jv(r - 1, y) - special.jv(r + 1, y))
@@ -308,22 +309,19 @@ _FAMILY = {"J": special.jv, "Y": special.yv, "K": special.kv}
 
 
 def check_ibp_identity(g, g_support: tuple[float, float], r: float, alpha: float,
-                       family: str, gprime=None) -> dict:
+                       family: str) -> dict:
     """Both sides of
         int g(y) B_r(alpha sqrt(y)) dy
           = sign * (2/alpha) int (g'(y) sqrt(y) - (r/2) g(y)/sqrt(y)) B_{r+1}(alpha sqrt(y)) dy
-    by quadrature, sign = -1 for B in {J, Y} and +1 for K."""
+    by quadrature, sign = -1 for B in {J, Y} and +1 for K, with g' by central
+    differences of step 1e-6."""
     if family not in _FAMILY:
         raise ValueError(f"family must be J, Y or K, got {family!r}")
     bes = _FAMILY[family]
     a, b = g_support
-    if gprime is None:
-        def gprime(y, _h=1e-6):
-            return (g(y + _h) - g(y - _h)) / (2 * _h)
-
     lhs, err1 = integrate.quad(lambda y: g(y) * bes(r, alpha * math.sqrt(y)), a, b, limit=400)
     rhs, err2 = integrate.quad(
-        lambda y: (gprime(y) * math.sqrt(y) - r / 2 * g(y) / math.sqrt(y))
+        lambda y: ((g(y + 1e-6) - g(y - 1e-6)) / 2e-6 * math.sqrt(y) - r / 2 * g(y) / math.sqrt(y))
         * bes(r + 1, alpha * math.sqrt(y)),
         a, b, limit=400,
     )
@@ -362,24 +360,24 @@ def fit_bessel_j_shape(orders, y_grid) -> dict:
     return {"constant": worst, "worst_point": worst_at}
 
 
-def fit_bessel_k_shape(ts, y_grid, eps: float = 0.1, a_decay: float = 3.0) -> dict:
-    """Fitted constant for cosh(pi t/2)|K_{it}(y)| <= C ((1+t)/y)^eps (1 + y/(1+t))^{-A}."""
+def fit_bessel_k_shape(ts, y_grid) -> dict:
+    """Fitted constant for cosh(pi t/2)|K_{it}(y)| <= C ((1+t)/y)^eps (1 + y/(1+t))^{-A},
+    eps = 0.1 and A = 3."""
     y = np.asarray(list(y_grid), dtype=float)
     worst = 0.0
     worst_at = None
     for t in ts:
-        bound = ((1 + t) / y) ** eps * (1 + y / (1 + t)) ** (-a_decay)
+        bound = ((1 + t) / y) ** 0.1 * (1 + y / (1 + t)) ** -3.0
         ratios = np.abs(k_imag_scaled(t, y)) / bound
         i = int(np.argmax(ratios))
         if ratios[i] > worst:
             worst, worst_at = float(ratios[i]), (t, float(y[i]))
-    return {"constant": worst, "worst_point": worst_at, "eps": eps, "A": a_decay}
+    return {"constant": worst, "worst_point": worst_at}
 
 
-def fit_whittaker_shape(params, y_factors, js=(0, 1, 2), eps: float = 0.1,
-                        a_decay: float = 3.0) -> dict:
+def fit_whittaker_shape(params, y_factors) -> dict:
     """Fitted constant for |W^{(j)}(y)| <= C (t*)^{1/2} (t*/y)^{j+eps} (1+y/t*)^{-A},
-    j-th derivatives by central finite differences."""
+    eps = 0.1 and A = 3, at j = 0, 1, 2 by central finite differences."""
     worst = 0.0
     worst_at = None
     for param in params:
@@ -387,7 +385,7 @@ def fit_whittaker_shape(params, y_factors, js=(0, 1, 2), eps: float = 0.1,
         for fac in y_factors:
             y = fac * ts
             h = max(1e-4 * y, 1e-6)
-            for j in js:
+            for j in (0, 1, 2):
                 if j == 0:
                     d = whittaker_weight(param, y)
                 elif j == 1:
@@ -395,7 +393,7 @@ def fit_whittaker_shape(params, y_factors, js=(0, 1, 2), eps: float = 0.1,
                 else:
                     d = (whittaker_weight(param, y + h) - 2 * whittaker_weight(param, y)
                          + whittaker_weight(param, y - h)) / (h * h)
-                bound = math.sqrt(ts) * (ts / y) ** (j + eps) * (1 + y / ts) ** (-a_decay)
+                bound = math.sqrt(ts) * (ts / y) ** (j + 0.1) * (1 + y / ts) ** -3.0
                 ratio = abs(d) / bound
                 if ratio > worst:
                     worst, worst_at = ratio, (param.kind, param.k or param.t, fac, j)

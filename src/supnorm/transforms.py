@@ -126,16 +126,16 @@ def _gl_panels(lo: float, hi: float, length: float):
 
 
 @functools.cache
-def _grid(y_max: float, y_min: float = 1e-3, split: float = 2 * math.pi):
+def _grid(y_max: float):
     """Node/weight grid for int_0^inf.  Imaginary-order Bessel factors oscillate
-    like cos(2t log y) near 0, so below `split` the panels are uniform in log y
+    like cos(2t log y) near 0, so below 2 pi the panels are uniform in log y
     (after substitution dy = y du); above, plain 2 pi panels, on which the
     integrands (two Bessel factors, each of frequency 1) turn by at most 4 pi.
-    Contributions below y_min are under 1e-18 for every shipped test function
-    and dropped."""
-    u, wu = _gl_panels(math.log(y_min), math.log(split), 0.25)
+    Contributions below y = 1e-3 are under 1e-18 for every shipped test
+    function and dropped."""
+    u, wu = _gl_panels(math.log(1e-3), math.log(2 * math.pi), 0.25)
     y_log = np.exp(u)
-    y_lin, w_lin = _gl_panels(split, y_max, 2 * math.pi)
+    y_lin, w_lin = _gl_panels(2 * math.pi, y_max, 2 * math.pi)
     return (_read_only(np.concatenate([y_log, y_lin])),
             _read_only(np.concatenate([wu * y_log, w_lin])))
 
@@ -151,9 +151,11 @@ def _imj_ratio_on_grid(t: float) -> np.ndarray:
 
 
 def _quadrature(y_max: float, kernel: np.ndarray, tf: TestFunction) -> float:
-    """int_0^y_max kernel(y) J_A(y) y^(-B-1) dy on the grid to y_max."""
+    """int_0^y_max kernel(y) J_A(y) y^(-B-1) dy on the grid to y_max.  The sum
+    is numpy's own reduction, not a BLAS dot product, so its order (and the
+    result, to the last bit) does not depend on the BLAS thread count."""
     y, w = _grid(y_max)
-    return float(np.dot(w, kernel * _bessel_j_on_grid(tf.A, y_max) * y ** (-tf.B - 1.0)))
+    return float((w * (kernel * _bessel_j_on_grid(tf.A, y_max) * y ** (-tf.B - 1.0))).sum())
 
 
 def dot_transform_quadrature(tf: TestFunction, k: int) -> float:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supnorm import counting, oscillatory, verify
 from supnorm.arithmetic import SquarefreeModulus, p_adic_valuation
@@ -16,6 +16,10 @@ from supnorm.counting import (
     MatrixCountInstance,
     point_pair_u,
 )
+
+
+_BIG_N = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53  # > 2^64
+_N_15 = _BIG_N // 53    # the first 15 primes: above 2^59, below 2^63
 
 
 def _instance(C, S, R, Rt, d1=1, d2=1, u=1, n=5):
@@ -41,6 +45,8 @@ def test_singleton_example():
 @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
        st.integers(1, 3), st.integers(1, 3), st.integers(1, 8),
        st.sampled_from([3, 5, 7, 11, 15]))
+@example(1, 3, 20, 20, 1, 1, _N_15 - 1, _N_15)     # int64 products would wrap here
+@example(2, 5, 6, 6, 2, 3, _BIG_N - 1, _BIG_N)     # and overflow past 2^63
 def test_dual_oracle_agreement(C, S, R, Rt, d1, d2, u, n):
     inst = _instance(C, S, R, Rt, d1, d2, u, n)
     assert counting.enumerate_A(inst) == counting.enumerate_A_naive(inst)
@@ -202,9 +208,6 @@ def _enumerate_A_loop(inst):
                     s += n
     out.sort()
     return out
-
-
-_BIG_N = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53  # > 2^64
 
 
 @pytest.mark.parametrize("C,S,R,Rt,d1,d2,u,n", [

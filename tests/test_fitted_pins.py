@@ -5,14 +5,19 @@ value it has now, within 1%.  A change that spends accuracy margin (a coarser
 grid, a cheaper evaluator) fails here even while it passes its limit, and must
 update the pin on purpose.  The absolute tolerance only matters for the
 constants at round-off level.  The whole report, serialized as the CLI writes
-it, must also equal the saved `verify_seed0.json` byte for byte.
+it, must also equal the saved `verify_seed0.json` byte for byte, whatever the
+BLAS thread count.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import supnorm
 from supnorm import cli, verify
 
 PINS = {
@@ -49,6 +54,17 @@ def test_report_matches_saved_seed0_report(report):
 
 def test_every_property_is_pinned(fitted):
     assert set(fitted) == set(PINS)
+
+
+def test_report_does_not_depend_on_blas_threads():
+    # the thread count is read when numpy loads, so each run is a fresh process
+    def run(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(supnorm.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "supnorm.cli", "verify",
+                               "--selector", "transforms/*"],
+                              env=env, capture_output=True, check=True).stdout
+    assert run("1") == run("2")
 
 
 @pytest.mark.parametrize("prop_id", sorted(PINS))
