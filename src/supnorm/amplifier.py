@@ -54,14 +54,6 @@ class HeckeSystem:
         return val
 
 
-def multiplicativity_defect(sys: HeckeSystem, m: int, n: int) -> float:
-    """|lambda(m) lambda(n) - sum_{d | (m,n)} chi(d) lambda(m n / d^2)|."""
-    g = math.gcd(m, n)
-    rhs = sum(sys.chi(d) * sys.eigenvalue(m * n // (d * d))
-              for d in range(1, g + 1) if g % d == 0)
-    return abs(sys.eigenvalue(m) * sys.eigenvalue(n) - rhs)
-
-
 @dataclass(frozen=True)
 class Amplifier:
     L: float

@@ -140,17 +140,6 @@ class DirichletCharacter:
         s = sum(self.component_exponents.get(p, 0) for p in self.modulus.prime_factors if p != 2)
         return s % 2 == 0
 
-    def is_trivial(self) -> bool:
-        return all(m == 0 for m in self.component_exponents.values())
-
-    def restrict(self, divisor: int) -> "DirichletCharacter":
-        """Component of the character living on a divisor of the modulus."""
-        if self.modulus.value % divisor != 0:
-            raise ValueError("not a divisor of the modulus")
-        mod = SquarefreeModulus.from_int(divisor)
-        exps = {p: self.component_exponents.get(p, 0) for p in mod.prime_factors if p != 2}
-        return DirichletCharacter(mod, exps)
-
 
 def enumerate_characters(n: int):
     """All Dirichlet characters mod square-free n."""

@@ -312,6 +312,10 @@ def _point_pair_below(inst: MatrixCountInstance, g: tuple[int, int, int, int]) -
     return wi > 0 and ((x - wr) ** 2 + (y - wi) ** 2) / (4 * y * wi) < Fraction(inst.delta)
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
 def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
     """All integer (a, b, c, d) with ad - bc = n, c >= 0, N | c and
     u(z, gz) < delta.  The candidate boxes are exact consequences of u < delta:
@@ -321,36 +325,44 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
         0 <= c             <  (sqrt(n delta) + sqrt(n (1+delta))) / y
 
     (derived from the real/imaginary parts of |c z^2 + (d-a) z - b|^2 < 4 n delta y^2
-    and its u+1 companion), followed by the u < delta filter of `_point_pair_below`."""
+    and its u+1 companion), followed by the u < delta filter of `_point_pair_below`.
+    Their integer ends are exact: x, y and delta are dyadic rationals, so with D
+    a power of two of at least 2^32, X = x D, Y = y D and E = delta D are
+    integers, and each square root, scaled by D, is replaced by the integer
+    `isqrt` + 1 above it.  Every box is widened by less than 1/D, never cut.
+    The integers strictly inside (lo, hi) run from floor(lo) + 1 to ceil(hi) - 1."""
     n, N, x, y, delta = inst.n, inst.N.value, inst.x, inst.y, inst.delta
-    eps = 1e-9
-    out = []
     root_nd = math.sqrt(n * delta)
-    # c = 0: a d = n, both sign pairs; b constrained by the explicit inequality
-    for a in _signed_divisors(n):
-        d = n // a if a > 0 else -(n // (-a))
-        if a * d != n:
-            continue
-        gap_sq = 4 * n * delta * y * y - (d - a) ** 2 * y * y
-        if gap_sq < -eps:
-            continue
-        s = math.sqrt(max(gap_sq, 0.0))
-        center = (d - a) * x
-        for b in range(math.floor(center - s - 1), math.ceil(center + s + 1) + 1):
-            if _point_pair_below(inst, (a, b, 0, d)):
-                out.append((a, b, 0, d))
-    # c > 0 multiples of N
     c_max = (root_nd + math.sqrt(n * (1 + delta))) / y
     p_max = 2 * math.sqrt(n * (1 + delta))
-    if (c_max / N + 1) * (2 * p_max + 3) * (4 * root_nd + 5) > BOX_LIMIT:
+    volume = (c_max / N + 1) * (2 * p_max + 3) * (4 * root_nd + 5)
+    # at c = 0: at most 2n signed divisors a, with fewer than 4 sqrt(n delta) y + 1 b each
+    volume += 2 * n * (4 * root_nd * y + 1)
+    if volume > BOX_LIMIT:
         raise BoxLimitError("matrix candidate box exceeds cap")
-    c = N
-    while c <= c_max + eps:
-        m_center = 2 * c * x
-        m_lo = math.ceil(m_center - 2 * root_nd - eps)
-        m_hi = math.floor(m_center + 2 * root_nd + eps)
-        for M in range(m_lo, m_hi + 1):          # M = a - d
-            for P in range(-math.floor(p_max + eps), math.floor(p_max + eps) + 1):  # P = a + d
+    (xn, xd), (yn, yd), (en, ed) = (v.as_integer_ratio() for v in (x, y, delta))
+    D = max(xd, yd, ed, 1 << 32)
+    X, Y, E = xn * (D // xd), yn * (D // yd), en * (D // ed)
+    out = []
+    # c = 0: a d = n, both sign pairs; |b D - (d-a) X| < Y sqrt(gap / D) with
+    # gap = D (4 n delta - (d-a)^2)
+    for a in _signed_divisors(n):
+        d = n // a if a > 0 else -(n // (-a))
+        gap = 4 * n * E - (d - a) ** 2 * D
+        if a * d != n or gap <= 0:
+            continue
+        center, half = (d - a) * X, math.isqrt(Y * Y * gap // D) + 1
+        for b in range((center - half) // D + 1, _ceil_div(center + half, D)):
+            if _point_pair_below(inst, (a, b, 0, d)):
+                out.append((a, b, 0, d))
+    # c > 0 multiples of N; m_half and p_half are above D sqrt(4 n delta) and
+    # D sqrt(4 n (1 + delta))
+    m_half = math.isqrt(4 * n * E * D) + 1
+    p_half = math.isqrt(4 * n * (E + D) * D) + 1
+    p_top = _ceil_div(p_half, D) - 1
+    for c in range(N, _ceil_div(m_half + p_half, 2 * Y), N):
+        for M in range((2 * c * X - m_half) // D + 1, _ceil_div(2 * c * X + m_half, D)):  # a - d
+            for P in range(-p_top, p_top + 1):  # a + d
                 if (P + M) % 2 != 0:
                     continue
                 a = (P + M) // 2
@@ -361,7 +373,6 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
                 b = num // c
                 if _point_pair_below(inst, (a, b, c, d)):
                     out.append((a, b, c, d))
-        c += N
     out.sort()
     return out
 

@@ -1,8 +1,8 @@
 """Smooth cutoffs and the oscillatory-sum/integral estimates built on them:
 plateau windows on [Z/2, 2Z] with derivative scale T, an exact dyadic partition
 of unity, exponential-sum decay under Poisson summation, kernel integrals
-against the plus/minus Bessel kernels, continued-fraction rational
-approximation, and the major-arc bound formula.
+against the plus/minus Bessel kernels, and continued-fraction rational
+approximation.
 
 The kernels come from `specfun.voronoi_kernel_values`, which evaluates the
 imaginary-order Bessel functions of a Maass form over a whole node array at
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import ArchimedeanParameter, voronoi_kernel_values
+from .specfun import ArchimedeanParameter, gauss_legendre_panels, voronoi_kernel_values
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +59,6 @@ class SmoothWindow:
     @property
     def support(self) -> tuple[float, float]:
         return (self.Z / 2, 2 * self.Z)
-
-    def derivative_constants(self, j_max: int = 4) -> list[float]:
-        """Fitted C_j with sup |window^(j)| <= C_j T^-j, finite differences on 2000 points."""
-        x = np.linspace(self.Z / 2 - self.T, 2 * self.Z + self.T, 2000)
-        h = self.T / 50
-        offsets = range(-j_max, j_max + 1)
-        table = {i: self(x + i * h) for i in offsets}
-        consts = []
-        for j in range(1, j_max + 1):
-            # central difference: sum_i (-1)^i C(j,i) f(x + (j/2 - i) h) via binomial stencil
-            acc = np.zeros_like(x)
-            for i in range(j + 1):
-                shift = j - 2 * i
-                # use the symmetric stencil on a doubled step to stay on integer offsets
-                acc += (-1) ** i * math.comb(j, i) * table[shift]
-            deriv = acc / (2 * h) ** j
-            consts.append(float(np.max(np.abs(deriv)) * self.T ** j))
-        return consts
 
 
 class DyadicPartition:
@@ -217,21 +199,16 @@ def lemma4_t_sweep(Z: float, alpha, j: int, t_values) -> dict:
 
 def voronoi_integral(w: SmoothWindow, param: ArchimedeanParameter, sign: str,
                      alpha: float) -> float:
-    """I = int g(xi) kernel(alpha sqrt(xi)) dxi over the window's support,
-    by Gauss-Legendre panels in v = sqrt(xi) sized to the oscillation."""
+    """I = int g(xi) kernel(alpha sqrt(xi)) dxi over the window's support, on
+    `specfun.gauss_legendre_panels` in v = sqrt(xi) sized to the oscillation;
+    the sum is numpy's own reduction, like `transforms._quadrature`."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     v_lo, v_hi = math.sqrt(w.Z / 2), math.sqrt(2 * w.Z)
     # kernel phase is alpha*v; keep panel phase below ~2 radians
-    length = min((v_hi - v_lo) / 8, 2.0 / alpha)
-    n = int(math.ceil((v_hi - v_lo) / length))
-    length = (v_hi - v_lo) / n
-    x, gw = np.polynomial.legendre.leggauss(12)
-    starts = v_lo + length * np.arange(n)
-    v = (starts[:, None] + length / 2 + (length / 2) * x[None, :]).ravel()
-    weights = np.tile(gw * length / 2, n)
+    v, weights = gauss_legendre_panels(v_lo, v_hi, min((v_hi - v_lo) / 8, 2.0 / alpha))
     kern = voronoi_kernel_values(param, sign, alpha * v)
-    return float(np.dot(weights, w(v * v) * kern * 2 * v))
+    return float((weights * w(v * v) * kern * 2 * v).sum())
 
 
 def lemma6_bound1(Z: float, t_star: float, alpha: float) -> float:
@@ -244,14 +221,3 @@ def lemma6_bound2(Z: float, T: float, t_star: float, alpha: float, j: int) -> fl
         raise ValueError("hypothesis alpha*sqrt(Z/2) >= 2 t* fails")
     factor = (math.sqrt(Z) / T + t_star / math.sqrt(Z)) / alpha
     return factor ** j * lemma6_bound1(Z, t_star, alpha)
-
-
-# ---------------------------------------------------------------------------
-# major-arc bound
-# ---------------------------------------------------------------------------
-
-def lemma8_bound(q: int, beta: float, Z: float, t_star: float) -> float:
-    """t*^{3/2} q (|beta|^{3/2} Z + t*^{3/2} / Z^{1/2}), epsilon power set to 1."""
-    if q < 1 or Z < 1 or t_star < 1:
-        raise ValueError("require q >= 1, Z >= 1, t* >= 1")
-    return t_star ** 1.5 * q * (abs(beta) ** 1.5 * Z + t_star ** 1.5 / math.sqrt(Z))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .arithmetic import THETA
-from .specfun import gauss_legendre_nodes, y_pair_ratio
+from .specfun import gauss_legendre_panels, y_pair_ratio
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _gl_panels(lo: float, hi: float, length: float):
-    return gauss_legendre_nodes(np.linspace(lo, hi, math.ceil((hi - lo) / length) + 1))
-
-
 @functools.cache
 def _grid(y_max: float):
     """Node/weight grid for int_0^inf.  Imaginary-order Bessel factors oscillate
@@ -133,9 +129,9 @@ def _grid(y_max: float):
     integrands (two Bessel factors, each of frequency 1) turn by at most 4 pi.
     Contributions below y = 1e-3 are under 1e-18 for every shipped test
     function and dropped."""
-    u, wu = _gl_panels(math.log(1e-3), math.log(2 * math.pi), 0.25)
+    u, wu = gauss_legendre_panels(math.log(1e-3), math.log(2 * math.pi), 0.25)
     y_log = np.exp(u)
-    y_lin, w_lin = _gl_panels(2 * math.pi, y_max, 2 * math.pi)
+    y_lin, w_lin = gauss_legendre_panels(2 * math.pi, y_max, 2 * math.pi)
     return (_read_only(np.concatenate([y_log, y_lin])),
             _read_only(np.concatenate([wu * y_log, w_lin])))
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import supnorm
 from supnorm.cli import main
 
 
@@ -243,3 +248,12 @@ def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert "Error:" in res.output and message in res.output
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only as a test oracle; a cold process must not pay for it
+    env = {**os.environ, "PYTHONPATH": str(Path(supnorm.__file__).parents[1])}
+    code = "import sys, supnorm.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

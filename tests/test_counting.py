@@ -446,12 +446,16 @@ def test_entry_bound_caps_every_entry():
     assert counting.enumerate_matrices_naive(inst, 60) == full
 
 
-@pytest.mark.parametrize("y,delta", [(1e-300, 0.5), (1.0, 1e308), (0.3, 1e6)])
+@pytest.mark.parametrize("y,delta", [(1e-300, 0.5), (1.0, 1e308), (0.3, 1e6), (1e9, 1.0)])
 def test_oracle_box_over_the_cap(y, delta):
     inst = MatrixCountInstance(x=0.5, y=y, n=3, N=SquarefreeModulus.from_int(1), delta=delta)
     with pytest.raises(BoxLimitError):
         counting.enumerate_matrices_naive(inst)
     counting.enumerate_matrices_naive(inst, 20)      # the capped scan is small
+    # the fast path checks its cap before it tries any candidate; its c = 0 range
+    # of b alone has about 1e154 entries at delta = 1e308 and 8e9 at y = 1e9
+    with pytest.raises(BoxLimitError):
+        counting.enumerate_R_N_matrices(inst)
 
 
 def _exact_u(x, y, g):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from supnorm import kloosterman
-from supnorm.arithmetic import DirichletCharacter, enumerate_characters
+from supnorm.arithmetic import DirichletCharacter, SquarefreeModulus, enumerate_characters
 from supnorm.kloosterman import (
     KloostermanQuery,
     divisor_count,
@@ -131,6 +131,23 @@ def test_legendre_twist_matches_salie():
         assert abs(kloosterman_sum(KloostermanQuery(m, n, p, chi)) - closed) < 1e-9 * math.sqrt(p)
 
 
+def _restrict(chi, divisor):
+    """The component of chi on a divisor of its modulus."""
+    if chi.modulus.value % divisor != 0:
+        raise ValueError("not a divisor of the modulus")
+    mod = SquarefreeModulus.from_int(divisor)
+    return DirichletCharacter(mod, {p: chi.component_exponents.get(p, 0)
+                                    for p in mod.prime_factors if p != 2})
+
+
+def test_restrict_to_divisor():
+    chi = next(c for c in enumerate_characters(15) if any(c.component_exponents.values()))
+    part = _restrict(chi, 5)
+    assert int(part.modulus) == 5
+    with pytest.raises(ValueError):
+        _restrict(chi, 7)
+
+
 @pytest.mark.parametrize("big_n, n1, k1, k2", [(105, 15, 4, 11), (105, 7, 2, 13), (231, 3, 8, 5),
                                                 (231, 77, 1, 9)])
 def test_twisted_multiplicativity(big_n, n1, k1, k2):
@@ -141,7 +158,7 @@ def test_twisted_multiplicativity(big_n, n1, k1, k2):
     chars = list(enumerate_characters(big_n))
     for i, chi in enumerate(chars[1::len(chars) // 8]):
         m, n = (-1) ** i * (5 + 7 * i), 3 * i - 11
-        chi1, chi2 = chi.restrict(n1), chi.restrict(n2)
+        chi1, chi2 = _restrict(chi, n1), _restrict(chi, n2)
         c2bar, c1bar = pow(c2, -1, c1), pow(c1, -1, c2)
         whole = kloosterman_sum(KloostermanQuery(m, n, c1 * c2, chi))
         parts = ((chi1(c2) * chi2(c1)).conjugate()

@@ -45,6 +45,9 @@ FAULTS = {
     "integration-by-parts sign flipped": (
         "specfun/grid", None, specfun, "check_ibp_identity",
         "rhs *= _IBP_SIGN[family]", "rhs *= -_IBP_SIGN[family]"),
+    "integration-by-parts rhs order r + 1 becomes r": (
+        "specfun/grid", None, specfun, "check_ibp_identity",
+        "bes(r + 1, alpha * root)", "bes(r, alpha * root)"),
 }
 
 

@@ -161,15 +161,41 @@ def test_derivative_recurrences():
     assert rep["max_discrepancy_K"] < 1e-6
 
 
+def _bump(y):
+    v = 2 * (y - 2.5) / 3
+    return math.exp(-1 / (1 - v * v)) if abs(v) < 1 else 0.0
+
+
 @pytest.mark.parametrize("family", ["J", "Y", "K"])
 def test_ibp_identity(family):
-    def bump(y):
-        v = 2 * (y - 2.5) / 3
-        return math.exp(-1 / (1 - v * v)) if abs(v) < 1 else 0.0
+    from scipy import integrate
+    bes = {"J": special.jv, "Y": special.yv, "K": special.kv}[family]
+    sign = 1.0 if family == "K" else -1.0
 
-    rep = specfun.check_ibp_identity(bump, (1.0, 4.0), 1.0, 2.0, family)
-    assert rep["converged"]
-    assert rep["rel_error"] < 1e-7
+    def quad(f):
+        return integrate.quad(f, 1.0, 4.0, limit=400, epsabs=0.0, epsrel=1e-11)[0]
+
+    for r in (0.0, 1.0, 2.0):
+        for alpha in (1.0, 2.0):
+            rep = specfun.check_ibp_identity(_bump, (1.0, 4.0), r, alpha, family)
+            assert rep["rel_error"] < 1e-7
+            lhs = quad(lambda y: _bump(y) * bes(r, alpha * math.sqrt(y)))
+            rhs = sign * 2 / alpha * quad(
+                lambda y: ((_bump(y + 1e-6) - _bump(y - 1e-6)) / 2e-6 * math.sqrt(y)
+                           - r / 2 * _bump(y) / math.sqrt(y)) * bes(r + 1, alpha * math.sqrt(y)))
+            # the rhs integrand holds g', whose 16-panel rule error reaches 2.2e-9
+            # here; 1e-8 is still 10x below the identity's 1e-7 gate
+            assert rep["lhs"] == pytest.approx(lhs, rel=1e-10, abs=0), (r, alpha)
+            assert rep["rhs"] == pytest.approx(rhs, rel=1e-8, abs=0), (r, alpha)
+
+
+@pytest.mark.parametrize("family", ["J", "Y", "K"])
+def test_ibp_identity_does_not_depend_on_panel_count(monkeypatch, family):
+    coarse = specfun.check_ibp_identity(_bump, (1.0, 4.0), 2.0, 1.0, family)
+    monkeypatch.setattr(specfun, "_IBP_PANELS", 32)
+    fine = specfun.check_ibp_identity(_bump, (1.0, 4.0), 2.0, 1.0, family)
+    assert fine["lhs"] == pytest.approx(coarse["lhs"], rel=1e-10, abs=0)
+    assert fine["rhs"] == pytest.approx(coarse["rhs"], rel=1e-8, abs=0)
 
 
 def test_transition_bound_constant_is_modest():
