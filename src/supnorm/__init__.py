@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`supnorm.arithmetic`   -- square-free moduli, Dirichlet characters, valuations
+- :mod:`supnorm.arithmetic`   -- the number-theory core, square-free moduli, Dirichlet characters
 - :mod:`supnorm.kloosterman`  -- twisted Kloosterman sums and the Weil-type reference bound
 - :mod:`supnorm.specfun`      -- Bessel kernels, Whittaker weights, inequality checkers
 - :mod:`supnorm.transforms`   -- the J_A(x) x^{-B} test function and its Bessel transforms

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
-from .arithmetic import DirichletCharacter, SquarefreeModulus, primes_in_interval
+from .arithmetic import DirichletCharacter, SquarefreeModulus, factorint, primes_in_interval
 
 
 class HeckeSystem:
@@ -48,7 +46,7 @@ class HeckeSystem:
         if n in self._cache:
             return self._cache[n]
         val = 1.0 + 0j
-        for p, k in sympy.factorint(n).items():
+        for p, k in factorint(n).items():
             val *= self._power(p, k)
         self._cache[n] = val
         return val

@@ -9,21 +9,150 @@ whole numpy array of units at once.
 `unit_blocks` (a sieve) and `batch_inverse` (Montgomery batch inversion) give the
 units mod m and their inverses as numpy arrays; the Kloosterman sums and the
 admissible-residue walk in `counting` share them.
+
+The exact number theory that everything else rests on is here too, and only
+here: `factorint` (trial division, then Pollard rho), `isprime` (deterministic
+Miller-Rabin), `primes_in_interval` (a sieve of Eratosthenes) and
+`primitive_root`.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 #: Best known progress towards the Ramanujan bound for Hecke eigenvalues.
 THETA = Fraction(7, 64)
+
+#: Miller-Rabin to the 13 prime bases up to 41 is exact below this bound
+#: (psi_13; Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: The largest upper end `primes_in_interval` sieves to (one byte per integer).
+SIEVE_LIMIT = 10 ** 7
+_TRIAL = 1024   # trial division by the primes below this
+
+
+class ResourceLimitError(Exception):
+    """Raised when an input would pass a named work or memory cap, before the
+    work starts; the CLI exits 3."""
+
+
+def _sieve(hi: int) -> np.ndarray:
+    """Prime flags for 0..hi (Eratosthenes)."""
+    flags = np.ones(hi + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(hi) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return flags
+
+
+_SMALL_PRIMES = tuple(np.flatnonzero(_sieve(_TRIAL)).tolist())
+
+
+def _miller_rabin(n: int) -> bool:
+    """Primality of an n > 1 with no prime factor below `_TRIAL`."""
+    if n < _TRIAL * _TRIAL:
+        return True
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is past the exact primality range (below {MILLER_RABIN_LIMIT})")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime: trial division by the primes below 1024,
+    then deterministic Miller-Rabin.  Exact for every n < `MILLER_RABIN_LIMIT`
+    (about 3.317e24); a larger n with no prime factor below 1024 raises
+    `ValueError`."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return n > 1
+    return _miller_rabin(n)
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below `_TRIAL`:
+    Brent's cycle search on x -> x^2 + c mod n for c = 1, 2, ..., with the
+    gcds batched over 128 steps and replayed one by one when a batch overshoots."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The factorisation {p: e} of an integer n >= 1, in increasing p: trial
+    division by the primes below 1024, then Pollard rho on what is left, with
+    each part tested by `isprime`'s Miller-Rabin.  Exact for every n below
+    `MILLER_RABIN_LIMIT` (about 3.317e24), and for a larger n whose cofactor
+    after trial division is below it; otherwise a part past that range raises
+    `ValueError`."""
+    if n < 1:
+        raise ValueError(f"can only factor a positive integer, got {n}")
+    factors: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if _miller_rabin(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _pollard_rho(m)
+            parts += [d, m // d]
+    return dict(sorted(factors.items()))
+
+
+def primitive_root(p: int) -> int:
+    """The least primitive root mod a prime p: the least g >= 1 with
+    g^((p-1)/q) != 1 mod p for every prime q | p - 1."""
+    if not isprime(p):
+        raise ValueError(f"{p} is not prime")
+    powers = [(p - 1) // q for q in factorint(p - 1)]
+    return next(g for g in itertools.count(1) if all(pow(g, k, p) != 1 for k in powers))
 
 
 def e(x) -> complex:
@@ -43,10 +172,10 @@ class SquarefreeModulus:
     def from_int(cls, n: int) -> "SquarefreeModulus":
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
-        fac = sympy.factorint(n)
+        fac = factorint(n)
         if any(exp > 1 for exp in fac.values()):
             raise ValueError(f"{n} is not square-free")
-        return cls(value=n, prime_factors=tuple(sorted(fac)))
+        return cls(value=n, prime_factors=tuple(fac))
 
     def __post_init__(self):
         prod = math.prod(self.prime_factors) if self.prime_factors else 1
@@ -82,7 +211,7 @@ class DirichletCharacter:
     @classmethod
     def quadratic(cls, p: int) -> "DirichletCharacter":
         """The real nontrivial (Legendre) character mod an odd prime p."""
-        if p == 2 or not sympy.isprime(p):
+        if p == 2 or not isprime(p):
             raise ValueError("quadratic character requires an odd prime modulus")
         return cls(modulus=SquarefreeModulus.from_int(p), component_exponents={p: (p - 1) // 2})
 
@@ -162,10 +291,10 @@ def enumerate_characters(n: int):
 @functools.lru_cache(maxsize=16)
 def log_table(p: int) -> np.ndarray:
     """Read-only discrete logarithms mod an odd prime p to the base
-    g = sympy.primitive_root(p), the generator the character exponents refer to:
+    g = primitive_root(p), the generator the character exponents refer to:
     entry a (0 < a < p) is the k in [0, p-1) with g^k = a mod p.  The powers of g
     are built by doubling, each step multiplying the known block by g^k."""
-    g = sympy.primitive_root(p)
+    g = primitive_root(p)
     powers = np.empty(p - 1, dtype=np.int64)
     powers[0] = 1
     k, gk = 1, g
@@ -214,7 +343,7 @@ def batch_inverse(x: np.ndarray, m: int) -> np.ndarray:
 def p_adic_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    if p < 2 or not sympy.isprime(p):
+    if p < 2 or not isprime(p):
         raise ValueError(f"{p} is not prime")
     n = abs(n)
     v = 0
@@ -225,10 +354,13 @@ def p_adic_valuation(n: int, p: int) -> int:
 
 
 def primes_in_interval(lo: float, hi: float, excluded_modulus: SquarefreeModulus | int = 1):
-    """Sorted primes p in [lo, hi] with p not dividing the excluded modulus."""
+    """Sorted primes p in [lo, hi] with p not dividing the excluded modulus, from
+    a sieve up to hi; hi above `SIEVE_LIMIT` raises `ResourceLimitError` before
+    the sieve is allocated."""
     if not 2 <= lo <= hi < math.inf:
         raise ValueError(f"need 2 <= lo <= hi < inf, got [{lo}, {hi}]")
+    if hi > SIEVE_LIMIT:
+        raise ResourceLimitError(f"primes up to {hi:.3g} exceed the sieve cap {SIEVE_LIMIT:.3g}")
     n = int(excluded_modulus)
-    start = math.ceil(lo)
-    stop = math.floor(hi)
-    return [p for p in sympy.primerange(start, stop + 1) if n % p != 0]
+    primes = np.flatnonzero(_sieve(math.floor(hi)))
+    return [p for p in primes[primes >= math.ceil(lo)].tolist() if n % p != 0]

@@ -24,7 +24,8 @@ import click
 
 from . import amplifier as amp_mod
 from . import counting, exponents, kloosterman, oscillatory, specfun, transforms, verify
-from .arithmetic import THETA, DirichletCharacter, SquarefreeModulus, primes_in_interval
+from .arithmetic import (THETA, DirichletCharacter, ResourceLimitError, SquarefreeModulus,
+                         primes_in_interval)
 
 CONFIG_ENV_VAR = "SUPNORM_CONFIG"
 
@@ -91,10 +92,11 @@ def _emit_csv(header: list[str], rows, output: str | None) -> None:
 def _bad_input():
     """The CLI's bad-input boundary: a library `ValueError` is a usage error
     (exit 2, raised inside the callback so click prints the subcommand's usage
-    line), and a `BoxLimitError` is a resource cap (exit 3)."""
+    line), and a `ResourceLimitError`, such as `counting.BoxLimitError` or the
+    prime sieve's cap, is a resource cap (exit 3)."""
     try:
         yield
-    except counting.BoxLimitError as exc:
+    except ResourceLimitError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RESOURCE)
     except ValueError as exc:

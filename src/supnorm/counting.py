@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
-from .arithmetic import SquarefreeModulus, batch_inverse, p_adic_valuation, unit_blocks
+from .arithmetic import (ResourceLimitError, SquarefreeModulus, batch_inverse, factorint,
+                         p_adic_valuation, unit_blocks)
 from .oscillatory import RationalApproximation
 
 
-class BoxLimitError(Exception):
+class BoxLimitError(ResourceLimitError):
     """Raised when an enumeration box exceeds the volume cap `BOX_LIMIT`."""
 
 
@@ -223,7 +223,7 @@ def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
     g = math.gcd(inst.c, math.gcd(inst.l1, inst.l2))
     # per prime p | c, the power p^need that must divide a non-zero s
     divisors = []
-    for p in sorted(sympy.factorint(inst.c)):
+    for p in factorint(inst.c):
         vl1, vl2, vc = (p_adic_valuation(x, p) for x in (inst.l1, inst.l2, inst.c))
         need = min(vl1 + vl2 - vc, vl1, vl2, vc)
         if need > 0:
@@ -231,7 +231,7 @@ def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
     l1, l2 = inst.l1 % m, inst.l2 % m
     k1, k2 = inst.d1 * inst.u * inst.c % m, inst.d2 * inst.u * inst.c % m
     in_box = []
-    for a in unit_blocks(m, sympy.factorint(m), _UNIT_BLOCK):
+    for a in unit_blocks(m, factorint(m), _UNIT_BLOCK):
         r1 = _centered(l1 * batch_inverse(a, m) - k1, m)
         r2 = _centered(-l2 * a - k2, m)
         keep = (np.abs(r1) <= inst.R1) & (np.abs(r2) <= inst.R2)

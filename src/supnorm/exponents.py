@@ -300,11 +300,14 @@ def theorem1_final(theta: Fraction = THETA) -> dict:
 
 def theorem2_combination() -> dict:
     """min(X, Y) <= X^w1 Y^w2 with w1 + w2 = 1 applied to
-    X = (t*)^5 N^(-1/37) and Y = (t*)^(-1/12): the weights (37/2269, 2232/2269)
-    make both final exponents exactly -1/2269."""
-    w1, w2 = F(37, 2269), F(2232, 2269)
-    t_exp = 5 * w1 - F(1, 12) * w2
-    n_exp = F(-1, 37) * w1
+    X = (t*)^5 N^(-1/37) and Y = (t*)^(-1/12).  The weights solve w1 + w2 = 1
+    and equal N- and t*-exponents of X^w1 Y^w2 exactly; they come out as
+    (37/2269, 2232/2269), and both final exponents as -1/2269."""
+    x, y = Monomial.of(t_star=5, N=F(-1, 37)), Monomial.of(t_star=F(-1, 12))
+    gap = [m.exponent("N") - m.exponent("t_star") for m in (x, y)]
+    (w1,), (w2,) = _solve_exact([[F(1), F(1)], gap], [[F(1)], [F(0)]])
+    t_exp = x.exponent("t_star") * w1 + y.exponent("t_star") * w2
+    n_exp = x.exponent("N") * w1 + y.exponent("N") * w2
     return {
         "weights": (w1, w2),
         "weights_sum_to_one": w1 + w2 == 1,

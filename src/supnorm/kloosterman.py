@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
-from .arithmetic import DirichletCharacter, batch_inverse, unit_blocks
+from .arithmetic import DirichletCharacter, batch_inverse, factorint, unit_blocks
 
 _BLOCK = 2 ** 14    # residues a per block; peak memory stays near 1 MiB
 _MAX_C = 2 ** 31    # below it every phase product is under c^2 < 2^62, exact in int64
@@ -58,7 +57,7 @@ def kloosterman_sum(q: KloostermanQuery) -> complex:
     order = chi.order()
     L = math.lcm(c, order)
     total = 0j
-    for a in unit_blocks(c, sympy.factorint(c), _BLOCK):
+    for a in unit_blocks(c, factorint(c), _BLOCK):
         k = (m % c * batch_inverse(a, c) + n % c * a) % c * (L // c)
         if order > 1:
             # a is a unit mod c, hence mod N | c; conjugate character: subtract the angle
@@ -69,7 +68,7 @@ def kloosterman_sum(q: KloostermanQuery) -> complex:
 
 
 def divisor_count(c: int) -> int:
-    return math.prod(k + 1 for k in sympy.factorint(c).values())
+    return math.prod(k + 1 for k in factorint(c).values())
 
 
 def kloosterman_weil_check(q: KloostermanQuery) -> dict:

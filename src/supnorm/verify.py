@@ -22,11 +22,10 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import sympy
 
 from . import amplifier as amp_mod
 from . import counting, exponents, kloosterman, oscillatory, specfun, transforms
-from .arithmetic import DirichletCharacter, SquarefreeModulus, enumerate_characters
+from .arithmetic import DirichletCharacter, SquarefreeModulus, enumerate_characters, factorint
 
 
 @dataclass
@@ -335,7 +334,7 @@ def sweep_kloosterman(rng: random.Random, n_instances: int = 40) -> dict:
         q = kloosterman.KloostermanQuery(rng.randint(-20, 20) or 1, rng.randint(-20, 20) or 1, c, chi)
         rep = kloosterman.kloosterman_weil_check(q)
         # the reference bound is an upper bound for square-free c
-        if all(e == 1 for e in sympy.factorint(c).values()):
+        if all(e == 1 for e in factorint(c).values()):
             worst_trivial = max(worst_trivial, rep["ratio"])
     return {"instances": n_instances, "max_ratio_squarefree_trivial": worst_trivial}
 

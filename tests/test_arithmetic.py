@@ -7,14 +7,20 @@ import sympy
 from hypothesis import given, strategies as st
 
 from supnorm.arithmetic import (
+    MILLER_RABIN_LIMIT,
+    SIEVE_LIMIT,
     DirichletCharacter,
+    ResourceLimitError,
     SquarefreeModulus,
     THETA,
     batch_inverse,
     e,
     enumerate_characters,
+    factorint,
+    isprime,
     p_adic_valuation,
     primes_in_interval,
+    primitive_root,
     unit_blocks,
 )
 
@@ -155,3 +161,87 @@ def test_unit_blocks_and_batch_inverse(m, block):
     assert units == [a for a in range(m) if math.gcd(a, m) == 1]
     for x in blocks:
         assert batch_inverse(x, m).tolist() == [pow(int(a), -1, m) for a in x]
+
+
+# -- the number-theory core against sympy ------------------------------------
+
+_BIG_N = math.prod(sympy.primerange(2, 54))    # the first 16 primes, > 2^64
+_N_15 = _BIG_N // 53                            # the first 15 primes, below 2^63
+_EDGES = [1, 2, 3, 4, 1021, 1031, 1021 ** 2, 1031 ** 2, 65537 ** 2, 2 ** 31 - 1,
+          (2 ** 31 - 1) ** 2, 2 ** 61 - 1, 10 ** 18 + 9, _N_15, _BIG_N,
+          998244353 * 1000000007, 3 * 1000003 ** 2]
+
+
+@pytest.mark.parametrize("n", _EDGES)
+def test_factorint_and_isprime_match_sympy_at_edges(n):
+    assert factorint(n) == sympy.factorint(n)
+    assert list(factorint(n)) == sorted(factorint(n))
+    assert isprime(n) == sympy.isprime(n)
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=10 ** 6),
+                 st.integers(min_value=1, max_value=2 ** 62)))
+def test_factorint_and_isprime_match_sympy(n):
+    assert factorint(n) == sympy.factorint(n)
+    assert isprime(n) == sympy.isprime(n)
+
+
+# the least strong pseudoprimes to the first k prime bases (OEIS A014233), each
+# passing Miller-Rabin to those k bases; k runs up to 12 of the 13 that `isprime` uses
+_STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                        341550071728321, 3825123056546413051, 318665857834031151167461]
+
+
+@pytest.mark.parametrize("n", _STRONG_PSEUDOPRIMES)
+def test_isprime_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert isprime(n) is False
+    if n < 2 ** 62:
+        assert factorint(n) == sympy.factorint(n)
+
+
+@given(st.integers(min_value=2, max_value=2 ** 31))
+def test_isprime_of_prime_squares(n):
+    p = sympy.prevprime(n + 1)
+    assert isprime(p) and not isprime(p * p)
+    assert factorint(p * p) == {p: 2}
+
+
+@given(st.floats(min_value=2, max_value=5000), st.floats(min_value=0, max_value=5000),
+       st.sampled_from([1, 15, 1001, 30030]))
+def test_primes_in_interval_matches_sympy(lo, width, excluded):
+    hi = lo + width
+    want = [p for p in sympy.primerange(math.ceil(lo), math.floor(hi) + 1) if excluded % p]
+    assert primes_in_interval(lo, hi, excluded) == want
+
+
+def test_primitive_root_is_sympys_below_20000():
+    # the character exponents, and so every report, refer to this generator
+    for p in sympy.primerange(2, 20000):
+        assert primitive_root(p) == sympy.primitive_root(p), p
+    with pytest.raises(ValueError):
+        primitive_root(15)
+
+
+def test_core_domain():
+    # past the exact Miller-Rabin range a part that trial division leaves raises
+    big_prime = sympy.nextprime(MILLER_RABIN_LIMIT)
+    for fn in (factorint, isprime):
+        with pytest.raises(ValueError, match="past the exact primality range"):
+            fn(big_prime)
+    with pytest.raises(ValueError, match="past the exact primality range"):
+        factorint(sympy.nextprime(10 ** 13) * sympy.nextprime(10 ** 14))
+    # a larger n whose cofactor after trial division is inside the range is exact
+    assert factorint(2 ** 100 * 3 * (2 ** 61 - 1)) == {2: 100, 3: 1, 2 ** 61 - 1: 1}
+    assert isprime(MILLER_RABIN_LIMIT + 1) is False    # even
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+def test_sieve_cap_raises_before_allocating():
+    assert primes_in_interval(SIEVE_LIMIT - 100, SIEVE_LIMIT) == \
+        list(sympy.primerange(SIEVE_LIMIT - 100, SIEVE_LIMIT + 1))
+    with pytest.raises(ResourceLimitError, match="sieve cap"):
+        primes_in_interval(2, SIEVE_LIMIT + 1)
+    with pytest.raises(ResourceLimitError):
+        primes_in_interval(10 ** 12, 2 * 10 ** 12)

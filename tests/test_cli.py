@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,10 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
      "the Y pair overflows float64 at t = 300.0"),
     (["decay", "--z", "256", "--t", "2", "--alpha", "inf"], "alpha must be finite, got inf"),
     (["decay", "--z", "256", "--t", "2", "--alpha", "nan"], "alpha must be finite, got nan"),
+    # (10^13 + 37)(10^14 + 31): its cofactor is past the exact primality range
+    (["count", "matrices", "--x", "0", "--y", "1", "--n", "1", "--n-level",
+      "1000000000004010000000001147", "--delta", "0.5"],
+     "1000000000004010000000001147 is past the exact primality range"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
@@ -251,9 +256,27 @@ def test_library_value_errors_are_usage_errors(runner, args, message):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only as a test oracle; a cold process must not pay for it
+    # scipy.integrate and sympy serve only as test oracles; a cold process must not pay for them
     env = {**os.environ, "PYTHONPATH": str(Path(supnorm.__file__).parents[1])}
-    code = "import sys, supnorm.cli; print('scipy.integrate' in sys.modules)"
+    code = "import sys, supnorm.cli; print('scipy.integrate' in sys.modules, 'sympy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
+
+
+def test_count_matrices_at_a_large_semiprime_level(runner):
+    # 998244353 * 1000000007: trial division to its square root would take ~10^9 steps
+    start = time.perf_counter()
+    res = runner.invoke(main, ["count", "matrices", "--x", "0", "--y", "1", "--n", "1",
+                               "--n-level", str(998244353 * 1000000007), "--delta", "0.5"])
+    assert res.exit_code == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(res.output)["M0"] == 3
+
+
+def test_amplifier_over_the_sieve_cap_exits_3_at_once(runner):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["amplifier", "--l", "1e12", "--n-level", "1"])
+    assert res.exit_code == 3
+    assert time.perf_counter() - start < 0.5
+    assert "exceed the sieve cap" in res.output
