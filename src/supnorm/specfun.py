@@ -19,16 +19,17 @@ scalar wrapper around these two, and mpmath appears only in the independent
 quadrature oracle `bessel_k_imag_quadrature`.
 
 Every integral in the package but that oracle is summed on the one 16-node
-Gauss-Legendre rule here (`gauss_legendre_nodes`, and `gauss_legendre_panels`
-for equal panels).  `check_ibp_identity` integrates both sides of the one-step
-integration-by-parts identity for J, Y and K on 16 equal panels over the
-support of the smooth weight, whose derivative it takes by central
-differences.  Every "<<" inequality is tested with a single fitted calibration
-constant which the caller (and the test suite) pins.
+Gauss-Legendre rule, built once here (`gauss_legendre_nodes`, and
+`gauss_legendre_panels` for equal panels).  `check_ibp_identity` integrates
+both sides of the one-step integration-by-parts identity for J, Y and K on
+16 equal panels over the support of the smooth weight, whose derivative it
+takes by central differences.  Every "<<" inequality is tested with a single
+fitted calibration constant which the caller (and the test suite) pins.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,10 +84,18 @@ _HANKEL_CUT = 150.0  # the ratio uses the Hankel expansion for y >= max(150, 1.5
 _MAX_PANELS = 2 ** 17  # radial panels; |t| = 1e4 needs about 1.0e5 at y = 1e-3
 
 
+@functools.cache
+def _gauss_legendre_rule():
+    """The 16-node rule on [-1, 1], built on first use: `leggauss` is a
+    process's first LAPACK call, which a process that never integrates
+    should not pay for."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def gauss_legendre_nodes(edges):
     """16-point Gauss-Legendre nodes and weights on the panels between
     consecutive entries of `edges`."""
-    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = _gauss_legendre_rule()
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = (hi - lo) / 2
@@ -328,7 +337,10 @@ def check_ibp_identity(g, g_support: tuple[float, float], r: float, alpha: float
           = sign * (2/alpha) int (g'(y) sqrt(y) - (r/2) g(y)/sqrt(y)) B_{r+1}(alpha sqrt(y)) dy
     on _IBP_PANELS equal Gauss-Legendre panels over the support of the smooth
     scalar function g, sign = -1 for B in {J, Y} and +1 for K, with g' by
-    central differences of step 1e-6."""
+    central differences of step 1e-6.  The `rel_error` is the check's own
+    resolution, not the identity's error: the central difference shifts the
+    rhs by up to about 7.6e-10 relative and the 16-panel rule on the rhs errs
+    by up to about 2.2e-9, so on the `verify` sweep it reads about 1.1e-9."""
     if family not in _FAMILY:
         raise ValueError(f"family must be J, Y or K, got {family!r}")
     bes = _FAMILY[family]

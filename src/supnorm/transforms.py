@@ -9,9 +9,12 @@ J_{k-1}.  The continuous ("tilde") one needs J at imaginary order 2it:
     (i / 2 sinh(pi t)) int (J_{2it} - J_{-2it}) phi dy/y
         = - int Im J_{2it}(y) / sinh(pi t) * phi(y) dy/y ,
 
-with the kernel Im J_{2it}(y)/sinh(pi t) from `specfun.y_pair_ratio`.  Grids
-(per y_max) and kernels (per order or t) are cached read-only and shared
-across (A, B) and k.
+with the kernel Im J_{2it}(y)/sinh(pi t) from `specfun.y_pair_ratio`.  One
+grid on [1e-3, 1e4] serves both; it and the kernels (per order or t) are
+cached read-only and shared across (A, B), k and t.  What the grid drops
+from the discrete transform is bounded by `dot_truncation_bound`: the head
+with |J_nu(y)| <= (y/2)^nu / nu! (DLMF 10.14.4), the tail with Watson's
+|J_nu(y)| <= sqrt(c_nu / y) beyond the cut.
 """
 
 from __future__ import annotations
@@ -68,10 +71,14 @@ def _closed_product(tf: TestFunction, spectral_sq: Fraction) -> Fraction:
     return coeff
 
 
-def dot_transform_closed(tf: TestFunction, k: int) -> Fraction:
-    """Exact coefficient c with transform value c/pi, at even k >= 2."""
+def _check_weight(k: int) -> None:
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be an even integer >= 2, got {k}")
+
+
+def dot_transform_closed(tf: TestFunction, k: int) -> Fraction:
+    """Exact coefficient c with transform value c/pi, at even k >= 2."""
+    _check_weight(k)
     return _closed_product(tf, -Fraction(k - 1, 2) ** 2)
 
 
@@ -110,10 +117,10 @@ def positivity_certificate(tf: TestFunction) -> dict:
     }
 
 
-# -- quadrature: one panel grid per y_max, one kernel array per order or t --
+# -- quadrature: one panel grid, one kernel array per order or t ------------
 
-_DOT_YMAX = 5e4
-_TILDE_YMAX = 1e4
+_Y_MIN = 1e-3
+_Y_MAX = 1e4
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -122,47 +129,66 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _grid(y_max: float):
-    """Node/weight grid for int_0^inf.  Imaginary-order Bessel factors oscillate
-    like cos(2t log y) near 0, so below 2 pi the panels are uniform in log y
-    (after substitution dy = y du); above, plain 2 pi panels, on which the
-    integrands (two Bessel factors, each of frequency 1) turn by at most 4 pi.
-    Contributions below y = 1e-3 are under 1e-18 for every shipped test
-    function and dropped."""
-    u, wu = gauss_legendre_panels(math.log(1e-3), math.log(2 * math.pi), 0.25)
+def _grid():
+    """Node/weight grid for int_0^inf, cut to [_Y_MIN, _Y_MAX].  Imaginary-order
+    Bessel factors oscillate like cos(2t log y) near 0, so below 2 pi the
+    panels are uniform in log y (after substitution dy = y du); above, plain
+    2 pi panels, on which the integrands (two Bessel factors, each of
+    frequency 1) turn by at most 4 pi.  What the cuts drop from the discrete
+    transform is bounded by `dot_truncation_bound`; the continuous one's
+    kernel has no such bound yet."""
+    u, wu = gauss_legendre_panels(math.log(_Y_MIN), math.log(2 * math.pi), 0.25)
     y_log = np.exp(u)
-    y_lin, w_lin = gauss_legendre_panels(2 * math.pi, y_max, 2 * math.pi)
+    y_lin, w_lin = gauss_legendre_panels(2 * math.pi, _Y_MAX, 2 * math.pi)
     return (_read_only(np.concatenate([y_log, y_lin])),
             _read_only(np.concatenate([wu * y_log, w_lin])))
 
 
 @functools.cache
-def _bessel_j_on_grid(order: int, y_max: float) -> np.ndarray:
-    return _read_only(special.jv(order, _grid(y_max)[0]))
+def _bessel_j_on_grid(order: int) -> np.ndarray:
+    return _read_only(special.jv(order, _grid()[0]))
 
 
 @functools.cache
 def _imj_ratio_on_grid(t: float) -> np.ndarray:
-    return _read_only(y_pair_ratio(t, _grid(_TILDE_YMAX)[0]))
+    return _read_only(y_pair_ratio(t, _grid()[0]))
 
 
-def _quadrature(y_max: float, kernel: np.ndarray, tf: TestFunction) -> float:
-    """int_0^y_max kernel(y) J_A(y) y^(-B-1) dy on the grid to y_max.  The sum
-    is numpy's own reduction, not a BLAS dot product, so its order (and the
-    result, to the last bit) does not depend on the BLAS thread count."""
-    y, w = _grid(y_max)
-    return float((w * (kernel * _bessel_j_on_grid(tf.A, y_max) * y ** (-tf.B - 1.0))).sum())
+def _quadrature(kernel: np.ndarray, tf: TestFunction) -> float:
+    """int kernel(y) J_A(y) y^(-B-1) dy on the grid.  The sum is numpy's own
+    reduction, not a BLAS dot product, so its order (and the result, to the
+    last bit) does not depend on the BLAS thread count."""
+    y, w = _grid()
+    return float((w * (kernel * _bessel_j_on_grid(tf.A) * y ** (-tf.B - 1.0))).sum())
 
 
 def dot_transform_quadrature(tf: TestFunction, k: int) -> float:
     """i^k int_0^inf J_{k-1}(y) phi(y) dy / y by panel quadrature."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"k must be an even integer >= 2, got {k}")
+    _check_weight(k)
     sign = (-1) ** (k // 2) * tf.sign
-    return sign * _quadrature(_DOT_YMAX, _bessel_j_on_grid(k - 1, _DOT_YMAX), tf)
+    return sign * _quadrature(_bessel_j_on_grid(k - 1), tf)
+
+
+def dot_truncation_bound(tf: TestFunction, k: int) -> float:
+    """Bound on |int J_{k-1} J_A y^(-B-1) dy| over the two pieces the grid
+    drops.  Tail [Y, inf), Y = _Y_MAX: y (J_nu^2 + Y_nu^2)(y) decreases in y
+    for nu > 1/2 (Watson 13.74, DLMF 10.18), and k >= 2, A >= 4 keep both
+    orders at least 1, so |J_nu(y)| <= sqrt(c_nu / y) with
+    c_nu = Y (J_nu(Y)^2 + Y_nu(Y)^2), and the tail is at most
+    sqrt(c_{k-1} c_A) Y^(-B-1) / (B+1).  Head [0, h], h = _Y_MIN:
+    |J_nu(y)| <= (y/2)^nu / nu! (DLMF 10.14.4), so the head is at most
+    h^p / (2^(k-1+A) (k-1)! A! p) with p = k - 1 + A - B."""
+    _check_weight(k)
+    nu, y_max = k - 1, _Y_MAX
+    c_nu, c_a = (y_max * (special.jv(n, y_max) ** 2 + special.yv(n, y_max) ** 2)
+                 for n in (nu, tf.A))
+    tail = math.sqrt(c_nu * c_a) * y_max ** (-tf.B - 1.0) / (tf.B + 1)
+    p = nu + tf.A - tf.B
+    head = _Y_MIN ** p / (2 ** (nu + tf.A) * math.factorial(nu) * math.factorial(tf.A) * p)
+    return tail + head
 
 
 def tilde_transform_quadrature(tf: TestFunction, t: float) -> float:
     """(i / 2 sinh(pi t)) int (J_{2it}(y) - J_{-2it}(y)) phi(y) dy / y, with the
     t = 0 value defined by the continuous limit."""
-    return -tf.sign * _quadrature(_TILDE_YMAX, _imj_ratio_on_grid(abs(float(t))), tf)
+    return -tf.sign * _quadrature(_imj_ratio_on_grid(abs(float(t))), tf)

@@ -3,6 +3,7 @@
 Each case rewrites one line of one function's source, installs the rewritten
 function in its module for the test, and runs the matching property at seed
 0.  A property that still passed with the fault in place could not see it.
+The last case moves the transform grid's cut instead of rewriting a line.
 """
 
 import __future__
@@ -11,7 +12,7 @@ import textwrap
 
 import pytest
 
-from supnorm import counting, exponents, specfun, verify
+from supnorm import counting, exponents, specfun, transforms, verify
 
 
 def _mutate(monkeypatch, module, name, old, new):
@@ -59,3 +60,29 @@ def test_fault_fails_its_property(monkeypatch, fault):
     _mutate(monkeypatch, module, name, old, new)
     rec = _record(prop_id)
     assert not rec["passed"] and (flag is None or rec["detail"][flag] is False)
+
+
+def _clear_transform_caches():
+    for cached in (transforms._grid, transforms._bessel_j_on_grid, transforms._imj_ratio_on_grid):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("cut", [2e3, 4e3])
+def test_short_transform_cut_fails_on_its_tail_bound(monkeypatch, cut):
+    # the observed discrete error stays under the limit at both cuts (2.0e-7
+    # and 1.2e-8); the stated tail bound (1.4e-5 and 1.8e-6) does not.  At
+    # 2e3 the continuous error (1.7e-6) fails the fitted constant as well; at
+    # 4e3 (1.1e-7) the tail-bound condition alone sees the fault
+    prop_id = "transforms/closed-vs-quadrature"
+    assert _record(prop_id)["passed"]
+    _clear_transform_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(transforms, "_Y_MAX", cut)
+            rec = _record(prop_id)
+    finally:
+        _clear_transform_caches()
+    detail, limit = rec["detail"], rec["limit"]
+    assert detail["max_rel_dot"] <= limit < detail["max_rel_dot"] + detail["dot_tail_bound"]
+    assert (rec["fitted_constant"] <= limit) == (cut == 4e3)
+    assert not rec["passed"]

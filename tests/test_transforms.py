@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
-from supnorm import transforms
+from supnorm import specfun, transforms, verify
 from supnorm.transforms import TestFunction
 
 
@@ -43,6 +45,8 @@ def test_dot_closed_rejects_odd_or_small_k():
         transforms.dot_transform_closed(tf, 3)
     with pytest.raises(ValueError):
         transforms.dot_transform_quadrature(tf, 0)
+    with pytest.raises(ValueError):
+        transforms.dot_truncation_bound(tf, 3)
 
 
 def test_degenerate_factor_raises():
@@ -104,12 +108,44 @@ def test_quadratures_repeat_bit_identically():
 
 def test_cached_grid_and_kernels_are_read_only():
     transforms.tilde_transform_quadrature(TestFunction(10, 2), 1.0)
-    cached = [*transforms._grid(transforms._DOT_YMAX),
-              transforms._bessel_j_on_grid(3, transforms._DOT_YMAX),
+    cached = [*transforms._grid(), transforms._bessel_j_on_grid(3),
               transforms._imj_ratio_on_grid(1.0)]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_cold_sweep_computes_each_bessel_order_once():
+    # both transforms share the grid, so J_A of the discrete and continuous
+    # quadratures is one array: orders k - 1 = 1, 3, 5, 7 and A = 8, 10, 12
+    transforms._bessel_j_on_grid.cache_clear()
+    verify.sweep_transforms()
+    assert transforms._bessel_j_on_grid.cache_info().misses == 7
+    for order in (1, 3, 5, 7, 8, 10, 12):
+        transforms._bessel_j_on_grid(order)
+    assert transforms._bessel_j_on_grid.cache_info().misses == 7
+
+
+def _dot_integral_on_old_grid(tf, k, y_max=5e4):
+    """int J_{k-1} J_A y^(-B-1) dy on the grid the discrete transform used
+    before its cut was stated: the same panels, run on to y_max."""
+    u, wu = specfun.gauss_legendre_panels(math.log(1e-3), math.log(2 * math.pi), 0.25)
+    y_lin, w_lin = specfun.gauss_legendre_panels(2 * math.pi, y_max, 2 * math.pi)
+    y = np.concatenate([np.exp(u), y_lin])
+    w = np.concatenate([wu * np.exp(u), w_lin])
+    return float((w * special.jv(k - 1, y) * special.jv(tf.A, y) * y ** (-tf.B - 1.0)).sum())
+
+
+@pytest.mark.parametrize("pair", verify.TRANSFORM_PAIRS, ids=str)
+def test_dot_truncation_bound_covers_the_longer_grid(pair):
+    tf = TestFunction(*pair)
+    for k in verify.TRANSFORM_KS:
+        new = transforms._quadrature(transforms._bessel_j_on_grid(k - 1), tf)
+        old = _dot_integral_on_old_grid(tf, k)
+        closed = transforms.dot_transform_closed_value(tf, k)
+        # the (10, 4) points differ by round-off alone, about 5e-15 relative
+        assert abs(old - new) <= (transforms.dot_truncation_bound(tf, k)
+                                  + 1e-12 * abs(closed))
 
 
 def test_positivity_certificate():

@@ -20,8 +20,8 @@ SPECFUN_SHAPES = ("bessel_j_constant", "bessel_k_constant", "whittaker_constant"
 # property id -> (passing detail, [(case name, changes to the detail, passed)])
 CASES = {
     "transforms/closed-vs-quadrature": (
-        {"instances": 36, "max_rel_dot": 1e-12, "max_rel_tilde": 3e-9},
-        [("dot at limit", {"max_rel_dot": 1e-6}, True),
+        {"instances": 36, "max_rel_dot": 3e-10, "max_rel_tilde": 3e-9, "dot_tail_bound": 1.2e-7},
+        [("dot at limit", {"max_rel_dot": 1e-6, "dot_tail_bound": 0.0}, True),
          ("dot above limit", {"max_rel_dot": 1.01e-6}, False),
          ("tilde above limit", {"max_rel_tilde": 1.01e-6}, False)]),
     "transforms/positivity": (
@@ -109,6 +109,14 @@ def test_passing_detail_passes(prop_id):
 def test_each_condition_decides(prop_id, name, changes, expected):
     detail = {**CASES[prop_id][0], **changes}
     assert _passed(prop_id, detail) is expected
+
+
+@pytest.mark.parametrize("dot,tail,expected", [(5e-7, 5e-7, True), (5e-7, 5.1e-7, False)])
+def test_dot_error_and_tail_bound_share_the_limit(dot, tail, expected):
+    # a dot error under the limit fails once its stated tail bound is added
+    detail = {**CASES["transforms/closed-vs-quadrature"][0], "max_rel_dot": dot,
+              "dot_tail_bound": tail}
+    assert _passed("transforms/closed-vs-quadrature", detail) is expected
 
 
 @pytest.mark.parametrize("name,changes,expected", CASES["specfun/grid"][1])
