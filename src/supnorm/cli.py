@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import click
 
+from . import __version__
 from . import amplifier as amp_mod
 from . import counting, exponents, kloosterman, oscillatory, specfun, transforms, verify
 from .arithmetic import (THETA, DirichletCharacter, ResourceLimitError, SquarefreeModulus,
@@ -135,7 +136,7 @@ output_option = click.option("--output", type=click.Path(dir_okay=False),
 # ---------------------------------------------------------------------------
 
 @click.group()
-@click.version_option(package_name="artifact", prog_name="supnorm")
+@click.version_option(version=__version__, prog_name="supnorm")
 def main():
     """Kernels, exponential sums, counting lemmas, and the exponent optimizer."""
 
@@ -343,11 +344,12 @@ def _make_count_command(name: str, which: str):
     def cmd(c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap, emit_elements, output):
         inst = _counting_instance(c_scale, s, r, r_tilde, d1, d2, u, n_level,
                                   h_cap if h_cap is not None else float(n_level))
-        rep = counting.lemma10_bound_check(inst, which)
+        plain = counting.enumerate_A(inst)
+        rep = counting.lemma10_bound_check(inst, which, plain)
         out = {"count": rep["count"], "bound": rep["bound"], "ratio": rep["ratio"]}
         if emit_elements:
-            out["elements"] = (counting.enumerate_A(inst) if which == "plain"
-                               else counting.enumerate_A_square(inst))
+            out["elements"] = (plain if which == "plain"
+                               else counting.enumerate_A_square(inst, plain))
         _emit(out, output)
 
     cmd.__name__ = f"count_{name}"
@@ -371,12 +373,13 @@ def count_matrices_cmd(x, y, n, n_level, delta, emit_elements, output):
     """Determinant-n integer matrices with lower-left entry divisible by N."""
     inst = counting.MatrixCountInstance(x=x, y=y, n=n,
                                         N=SquarefreeModulus.from_int(n_level), delta=delta)
-    split = counting.matrix_count_split(inst)
+    mats = counting.enumerate_R_N_matrices(inst)
+    split = counting.matrix_count_split(mats)
     out = {"M0": split["M0"], "Mstar": split["Mstar"], "M": split["M"],
            "excluded_negative": split["excluded_negative"],
            "ubound": counting.ubound_value(inst)}
     if emit_elements:
-        out["elements"] = counting.enumerate_R_N_matrices(inst)
+        out["elements"] = mats
     _emit(out, output)
 
 

@@ -127,13 +127,13 @@ def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
     return list(zip(c[ic].tolist(), s[i_s].tolist(), r1[i1].tolist(), r2[i2].tolist()))
 
 
-def enumerate_A_square(inst: CountingInstance, plain: list[tuple] | None = None) -> list[tuple]:
-    """Subset of enumerate_A (requires d1 = d2 = 1) with s*c - r1*r2 a perfect
-    square, zero included.  `plain`, when given, is enumerate_A(inst)."""
+def enumerate_A_square(inst: CountingInstance, plain: list[tuple]) -> list[tuple]:
+    """Subset of `plain` = enumerate_A(inst) (requires d1 = d2 = 1) with
+    s*c - r1*r2 a perfect square, zero included."""
     if inst.d1 != 1 or inst.d2 != 1:
         raise ValueError("the square variant is defined for d1 = d2 = 1")
     out = []
-    for (c, s, r1, r2) in enumerate_A(inst) if plain is None else plain:
+    for (c, s, r1, r2) in plain:
         v = s * c - r1 * r2
         if v >= 0 and math.isqrt(v) ** 2 == v:
             out.append((c, s, r1, r2))
@@ -158,15 +158,11 @@ def lemma10_bound(inst: CountingInstance, which: str = "plain") -> float:
             + C * tot / q + C + math.sqrt(S * C) * q * min(R, Rt) / N)
 
 
-def lemma10_bound_check(inst: CountingInstance, which: str = "plain",
-                        plain: list[tuple] | None = None) -> dict:
-    """Enumerated count against `lemma10_bound`.  `plain`, when given, is
-    enumerate_A(inst), so a caller that holds it does not enumerate the box again."""
+def lemma10_bound_check(inst: CountingInstance, which: str, plain: list[tuple]) -> dict:
+    """The count in `plain` = enumerate_A(inst), or of its square subset,
+    against `lemma10_bound`."""
     bound = lemma10_bound(inst, which)
-    if which == "square":
-        count = len(enumerate_A_square(inst, plain))
-    else:
-        count = len(enumerate_A(inst) if plain is None else plain)
+    count = len(enumerate_A_square(inst, plain) if which == "square" else plain)
     return {"count": count, "bound": bound,
             "ratio": count / bound if bound > 0 else (0.0 if count == 0 else math.inf)}
 
@@ -480,10 +476,10 @@ def _u_below(inst: MatrixCountInstance, a, b, c, d) -> np.ndarray:
     return below
 
 
-def matrix_count_split(inst: MatrixCountInstance) -> dict:
-    """M0 counts c = 0 < a, Mstar counts c > 0; matrices with c = 0, a < 0 act
-    like their negatives and are reported separately, outside M = M0 + Mstar."""
-    mats = enumerate_R_N_matrices(inst)
+def matrix_count_split(mats: list[tuple]) -> dict:
+    """Splits the matrices `mats` of enumerate_R_N_matrices: M0 counts c = 0 < a,
+    Mstar counts c > 0; matrices with c = 0, a < 0 act like their negatives and
+    are reported separately, outside M = M0 + Mstar."""
     m0 = sum(1 for (a, b, c, d) in mats if c == 0 and a > 0)
     mstar = sum(1 for (a, b, c, d) in mats if c > 0)
     excluded = sum(1 for (a, b, c, d) in mats if c == 0 and a < 0)
@@ -502,10 +498,10 @@ def geometric_kernel(u: float, T: float, n: int) -> float:
     return 4 * math.sqrt(T) * u ** -0.25 * (u + 1) ** -1.25
 
 
-def geometric_sum(inst: MatrixCountInstance, T: float) -> dict:
-    """Sum of the majorant kernel over the matrices with u(z, gz) < delta,
-    against the shape T + T^{1/2} n + T^{1/2} n^{1/2} y."""
-    mats = enumerate_R_N_matrices(inst)
+def geometric_sum(inst: MatrixCountInstance, mats: list[tuple], T: float) -> dict:
+    """Sum of the majorant kernel over `mats` = enumerate_R_N_matrices(inst),
+    the matrices with u(z, gz) < delta, against the shape
+    T + T^{1/2} n + T^{1/2} n^{1/2} y."""
     total = sum(geometric_kernel(point_pair_u(inst.x, inst.y, g), T, inst.n) for g in mats)
     bound = T + math.sqrt(T) * inst.n + math.sqrt(T * inst.n) * inst.y
     return {"sum": total, "bound": bound, "ratio": total / bound, "matrices": len(mats)}

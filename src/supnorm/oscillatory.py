@@ -6,7 +6,7 @@ approximation.
 
 The kernels come from `specfun.voronoi_kernel_values`, which evaluates the
 imaginary-order Bessel functions of a Maass form over a whole node array at
-once; nothing here calls mpmath.
+once in float64.
 """
 
 from __future__ import annotations

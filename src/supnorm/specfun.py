@@ -15,11 +15,11 @@ Moving the contour to Im u = theta turns the oscillation in u into decay while
 keeping the cancellation between exponentially large terms bounded, so both
 stay accurate in double precision at every |t|; the ratio switches to the
 Hankel expansion at large y.  Every other imaginary-order function here is a
-scalar wrapper around these two, and mpmath appears only in the independent
-quadrature oracle `bessel_k_imag_quadrature`.
+scalar wrapper around these two, in float64 throughout; their independent
+oracles are in the tests.
 
-Every integral in the package but that oracle is summed on the one 16-node
-Gauss-Legendre rule, built once here (`gauss_legendre_nodes`, and
+Every integral in the package is summed on the one 16-node Gauss-Legendre
+rule, built here on first use (`gauss_legendre_nodes`, and
 `gauss_legendre_panels` for equal panels).  `check_ibp_identity` integrates
 both sides of the one-step integration-by-parts identity for J, Y and K on
 16 equal panels over the support of the smooth weight, whose derivative it
@@ -33,7 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy import special
 
@@ -228,42 +227,19 @@ def bessel_k_imag(t: float, y: float) -> float:
     return float(k_imag_scaled(t, [y])[0])
 
 
-def bessel_k_imag_quadrature(t: float, y: float) -> float:
-    """Independent oracle: cosh(pi t / 2) * integral_0^inf exp(-y cosh u) cos(tu) du.
-
-    Uses mpmath tanh-sinh quadrature at elevated precision on the real axis;
-    intended for |t| <~ 30.
-    """
-    if y <= 0:
-        raise ValueError(f"argument must be positive, got {y}")
-    t = abs(float(t))
-    dps = 25 + int(1.5 * t)
-    with mp.workdps(dps):
-        yy = mp.mpf(y)
-        # truncate where exp(-y cosh u) is below working precision
-        target = mp.mpf(10) ** (-(dps + 10))
-        umax = mp.acosh(max(mp.mpf(2), -mp.log(target) / yy))
-        if t > 0:
-            # split at the oscillation scale of cos(tu)
-            pts = [mp.mpf(0)]
-            step = mp.pi / (2 * t)
-            while pts[-1] < umax:
-                pts.append(min(pts[-1] + step, umax))
-        else:
-            pts = [mp.mpf(0), umax]
-        integral = mp.quad(lambda u: mp.e ** (-yy * mp.cosh(u)) * mp.cos(t * u), pts)
-        return float(mp.cosh(mp.pi * t / 2) * integral)
-
-
 def bessel_y_imag_pair(t: float, y: float) -> float:
     """Y_{2it}(y) + Y_{-2it}(y); real and even in t by conjugate symmetry.
     Raises ValueError where the pair itself overflows float64."""
     ratio = 2 * float(y_pair_ratio(t, [y])[0])
     try:
         value = ratio * math.cosh(math.pi * t)
-    except OverflowError:   # cosh(pi t) passes 2^1024 at |t| ~ 226, a little before the pair
-        value = float(ratio * mp.cosh(mp.pi * t))
-    if math.isinf(value):
+    except OverflowError:
+        # cosh(pi t) passes 2^1024 at |t| ~ 226, a little before the pair.  There
+        # cosh x = 2 cosh(x/2)^2 - 1 with the -1 below one ulp; past |t| ~ 452
+        # cosh(pi t/2) overflows too, and so does the pair.
+        c = math.cosh(math.pi * t / 2) if abs(t) < 450 else math.inf
+        value = ratio * c * (2 * c)
+    if not math.isfinite(value):
         raise ValueError(f"the Y pair overflows float64 at t = {t}")
     return value
 

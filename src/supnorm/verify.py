@@ -8,8 +8,9 @@ tolerances, decay slopes) off the sweep's detail, and passes when the fitted
 constant is at most its limit and every side condition holds.  Each limit and
 tolerance lives only here: `run_verify`, the CLI's `verify` and
 `bessel verify` all read this table.  Adding a property means adding one
-entry.  The acceptance tests call the sweeps with larger sizes and keep their
-own literal limits; the sweep sizes here keep a full run interactive."""
+entry.  The acceptance tests call the same sweeps, `sweep_lemma10` at a
+larger size, and keep their own literal limits; the sweep sizes here keep a
+full run interactive."""
 
 from __future__ import annotations
 
@@ -71,30 +72,34 @@ def load_config(path: str | None, **flag_overrides) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# sweeps (reused by the acceptance tests with larger sizes)
+# sweeps (reused by the acceptance tests)
 # ---------------------------------------------------------------------------
 
 TRANSFORM_PAIRS = ((8, 2), (10, 2), (12, 2), (10, 4))
 TRANSFORM_KS = (2, 4, 6, 8)
 TRANSFORM_TS = (0.1, 0.5, 1.0, 2.0, 5.0)
+CONGRUENCE_INSTANCES = 100
+MATRIX_INSTANCES = 50
+AMPLIFIER_SYSTEMS = 50
+KLOOSTERMAN_INSTANCES = 40
 
 
-def sweep_transforms(pairs=TRANSFORM_PAIRS, ks=TRANSFORM_KS, ts=TRANSFORM_TS) -> dict:
+def sweep_transforms() -> dict:
     """Largest relative error of each quadrature against its closed form, and
     the largest stated truncation bound of the discrete one relative to it."""
     worst_dot = 0.0
     worst_tilde = 0.0
     dot_tail = 0.0
     n = 0
-    for a, b in pairs:
+    for a, b in TRANSFORM_PAIRS:
         tf = transforms.TestFunction(a, b)
-        for k in ks:
+        for k in TRANSFORM_KS:
             c = transforms.dot_transform_closed_value(tf, k)
             q = transforms.dot_transform_quadrature(tf, k)
             worst_dot = max(worst_dot, abs(c - q) / abs(c))
             dot_tail = max(dot_tail, transforms.dot_truncation_bound(tf, k) / abs(c))
             n += 1
-        for t in ts:
+        for t in TRANSFORM_TS:
             c = transforms.tilde_transform_closed(tf, t)
             q = transforms.tilde_transform_quadrature(tf, t)
             worst_tilde = max(worst_tilde, abs(c - q) / abs(c))
@@ -103,12 +108,12 @@ def sweep_transforms(pairs=TRANSFORM_PAIRS, ks=TRANSFORM_KS, ts=TRANSFORM_TS) ->
             "dot_tail_bound": dot_tail, "instances": n}
 
 
-def check_positivity(pairs=TRANSFORM_PAIRS) -> dict:
+def check_positivity() -> dict:
     ok = True
-    for a, b in pairs:
+    for a, b in TRANSFORM_PAIRS:
         cert = transforms.positivity_certificate(transforms.TestFunction(a, b))
         ok = ok and cert["dot_all_positive"] and cert["tilde_positive"]
-    return {"all_positive": ok, "instances": len(pairs)}
+    return {"all_positive": ok, "instances": len(TRANSFORM_PAIRS)}
 
 
 def check_exponents() -> dict:
@@ -164,11 +169,11 @@ def sweep_lemma10(rng: random.Random, n_instances: int = 60) -> dict:
             "max_ratio_plain": worst_plain, "max_ratio_square": worst_square}
 
 
-def sweep_congruence(rng: random.Random, n_instances: int = 100) -> dict:
+def sweep_congruence(rng: random.Random) -> dict:
     violations = 0
     mult_ok = True
     done = 0
-    while done < n_instances:
+    while done < CONGRUENCE_INSTANCES:
         nval = rng.choice((5, 7, 11, 13, 15, 21, 33, 35))
         mod = SquarefreeModulus.from_int(nval)
         l1, l2 = rng.randint(1, 30), rng.randint(1, 30)
@@ -186,11 +191,11 @@ def sweep_congruence(rng: random.Random, n_instances: int = 100) -> dict:
     return {"instances": done, "violations": violations, "multiplicity_ok": mult_ok}
 
 
-def sweep_matrices(rng: random.Random, n_instances: int = 50) -> dict:
+def sweep_matrices(rng: random.Random) -> dict:
     all_equal = True
     ubound_const = 0.0
     done = 0
-    while done < n_instances:
+    while done < MATRIX_INSTANCES:
         nval = rng.choice((1, 2, 3, 5, 6, 7, 10))
         n = rng.randint(1, 20)
         if math.gcd(n, nval) != 1:
@@ -202,7 +207,7 @@ def sweep_matrices(rng: random.Random, n_instances: int = 50) -> dict:
         naive = counting.enumerate_matrices_naive(inst)
         if ours != naive:
             all_equal = False
-        split = counting.matrix_count_split(inst)
+        split = counting.matrix_count_split(ours)
         ubound_const = max(ubound_const, split["M0"] / counting.ubound_value(inst))
         done += 1
     return {"instances": done, "all_equal": all_equal, "ubound_constant": ubound_const}
@@ -211,11 +216,13 @@ def sweep_matrices(rng: random.Random, n_instances: int = 50) -> dict:
 def sweep_geometric() -> dict:
     """Geometric-sum shape on a small fixed sweep; it draws no random numbers."""
     geom_const = 0.0
-    for t_kernel in (4.0, 16.0, 64.0):
-        for n, nval, y in ((2, 3, 0.8), (5, 2, 1.2), (12, 5, 0.6)):
-            inst = counting.MatrixCountInstance(x=0.3, y=y, n=n,
-                                                N=SquarefreeModulus.from_int(nval), delta=4.0)
-            geom_const = max(geom_const, counting.geometric_sum(inst, t_kernel)["ratio"])
+    for n, nval, y in ((2, 3, 0.8), (5, 2, 1.2), (12, 5, 0.6)):
+        inst = counting.MatrixCountInstance(x=0.3, y=y, n=n,
+                                            N=SquarefreeModulus.from_int(nval), delta=4.0)
+        mats = counting.enumerate_R_N_matrices(inst)
+        for t_kernel in (4.0, 16.0, 64.0):
+            geom_const = max(geom_const,
+                             counting.geometric_sum(inst, mats, t_kernel)["ratio"])
     return {"geometric_constant": geom_const}
 
 
@@ -223,10 +230,10 @@ _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
 
 
-def sweep_amplifier(rng: random.Random, n_systems: int = 50) -> dict:
+def sweep_amplifier(rng: random.Random) -> dict:
     worst = 0.0
     exact_ok = True
-    for _ in range(n_systems):
+    for _ in range(AMPLIFIER_SYSTEMS):
         nval = rng.choice((1, 5, 7, 11, 13, 15, 21, 33))
         chars = [c for c in enumerate_characters(nval) if c.is_even()]
         chi = rng.choice(chars)
@@ -241,7 +248,7 @@ def sweep_amplifier(rng: random.Random, n_systems: int = 50) -> dict:
             worst = max(worst, abs(value))
         if amp_mod.amplifier_diagonal_symbolic(sys_, amp) != expected:
             exact_ok = False
-    return {"instances": n_systems, "max_rel_error": worst, "symbolic_exact": exact_ok}
+    return {"instances": AMPLIFIER_SYSTEMS, "max_rel_error": worst, "symbolic_exact": exact_ok}
 
 
 def sweep_specfun() -> dict:
@@ -331,9 +338,9 @@ def check_partition() -> dict:
     return part.partition_check(grid)
 
 
-def sweep_kloosterman(rng: random.Random, n_instances: int = 40) -> dict:
+def sweep_kloosterman(rng: random.Random) -> dict:
     worst_trivial = 0.0
-    for _ in range(n_instances):
+    for _ in range(KLOOSTERMAN_INSTANCES):
         c = rng.randint(1, 200)
         chi = DirichletCharacter.trivial(1)
         q = kloosterman.KloostermanQuery(rng.randint(-20, 20) or 1, rng.randint(-20, 20) or 1, c, chi)
@@ -341,7 +348,7 @@ def sweep_kloosterman(rng: random.Random, n_instances: int = 40) -> dict:
         # the reference bound is an upper bound for square-free c
         if all(e == 1 for e in factorint(c).values()):
             worst_trivial = max(worst_trivial, rep["ratio"])
-    return {"instances": n_instances, "max_ratio_squarefree_trivial": worst_trivial}
+    return {"instances": KLOOSTERMAN_INSTANCES, "max_ratio_squarefree_trivial": worst_trivial}
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ def _report(name: str, passed: bool, detail: str):
 
 def test_criterion_1_transform_closed_forms():
     start = time.monotonic()
-    rep = verify.sweep_transforms(
-        pairs=((8, 2), (10, 2), (12, 2), (10, 4)),
-        ks=(2, 4, 6, 8), ts=(0.1, 0.5, 1.0, 2.0, 5.0))
+    rep = verify.sweep_transforms()
     elapsed = time.monotonic() - start
     worst = max(rep["max_rel_dot"], rep["max_rel_tilde"])
     _report(
@@ -69,7 +67,7 @@ def test_criterion_4_box_counting():
 
 def test_criterion_5_congruence_reduction():
     start = time.monotonic()
-    rep = verify.sweep_congruence(random.Random(2025), n_instances=100)
+    rep = verify.sweep_congruence(random.Random(2025))
     elapsed = time.monotonic() - start
     _report(
         "criterion-5 congruence reduction",
@@ -82,7 +80,7 @@ def test_criterion_5_congruence_reduction():
 
 def test_criterion_6_matrix_counting():
     start = time.monotonic()
-    rep = verify.sweep_matrices(random.Random(2026), n_instances=50)
+    rep = verify.sweep_matrices(random.Random(2026))
     geom = verify.sweep_geometric()["geometric_constant"]
     elapsed = time.monotonic() - start
     _report(
@@ -97,12 +95,12 @@ def test_criterion_6_matrix_counting():
 
 def test_criterion_7_amplifier_identity():
     start = time.monotonic()
-    rep = verify.sweep_amplifier(random.Random(2027), n_systems=50)
+    rep = verify.sweep_amplifier(random.Random(2027))
     elapsed = time.monotonic() - start
     _report(
         "criterion-7 amplifier identity",
         rep["max_rel_error"] <= 1e-9 and rep["symbolic_exact"] and elapsed <= 5,
-        f"50 systems, diagonal rel error {rep['max_rel_error']:.3e} (tol 1e-9), "
+        f"{rep['instances']} systems, diagonal rel error {rep['max_rel_error']:.3e} (tol 1e-9), "
         f"symbolic identity exact, {elapsed:.1f}s/5s",
     )
 

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -248,6 +250,9 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
     (["count", "matrices", "--x", "0", "--y", "1", "--n", "1", "--n-level",
       "1000000000004010000000001147", "--delta", "0.5"],
      "1000000000004010000000001147 is past the exact primality range"),
+    # past |t| ~ 452 cosh(pi t/2) overflows as well as cosh(pi t)
+    (["bessel", "--fn", "Ypair", "--t", "460", "--y", "1"],
+     "the Y pair overflows float64 at t = 460.0"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
@@ -256,12 +261,40 @@ def test_library_value_errors_are_usage_errors(runner, args, message):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate and sympy serve only as test oracles; a cold process must not pay for them
+    # scipy.integrate, sympy and mpmath serve only as test oracles; a cold process
+    # must not pay for them
     env = {**os.environ, "PYTHONPATH": str(Path(supnorm.__file__).parents[1])}
-    code = "import sys, supnorm.cli; print('scipy.integrate' in sys.modules, 'sympy' in sys.modules)"
+    code = ("import sys, supnorm.cli; "
+            "print(*(m in sys.modules for m in ('scipy.integrate', 'sympy', 'mpmath')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False", "False", "False"]
+
+
+def test_runtime_dependencies_are_the_third_party_imports_of_src():
+    # every import under src/, function bodies included, against [project].dependencies
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(supnorm.__file__).parent
+    pyproject = src.parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml beside the sources")
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"__future__", "supnorm"}
+    assert declared == imported == {"numpy", "scipy", "click"}
+
+
+def test_version_from_a_source_checkout(runner):
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0
+    assert res.output == "supnorm, version 0.1.0\n"
 
 
 def test_count_matrices_at_a_large_semiprime_level(runner):

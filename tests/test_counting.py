@@ -54,14 +54,14 @@ def test_dual_oracle_agreement(C, S, R, Rt, d1, d2, u, n):
 
 def test_square_variant_subset_and_guard():
     inst = _instance(4, 10, 5, 5, u=5)
-    sq = counting.enumerate_A_square(inst)
-    full = set(counting.enumerate_A(inst))
-    assert set(sq) <= full
+    plain = counting.enumerate_A(inst)
+    sq = counting.enumerate_A_square(inst, plain)
+    assert set(sq) <= set(plain)
     for (c, s, r1, r2) in sq:
         v = s * c - r1 * r2
         assert v >= 0 and math.isqrt(v) ** 2 == v
     with pytest.raises(ValueError):
-        counting.enumerate_A_square(_instance(1, 1, 1, 1, d1=2))
+        counting.enumerate_A_square(_instance(1, 1, 1, 1, d1=2), [])
 
 
 def test_box_limit_error():
@@ -74,15 +74,16 @@ def test_bound_check_requires_approx():
     mod = SquarefreeModulus.from_int(5)
     inst = CountingInstance(C=1, S=1, R=1, R_tilde=1, d1=1, d2=1, u=1, N=mod)
     with pytest.raises(ValueError):
-        counting.lemma10_bound_check(inst)
+        counting.lemma10_bound_check(inst, "plain", [])
     with pytest.raises(ValueError):
-        counting.lemma10_bound_check(_instance(1, 1, 1, 1), "other")
+        counting.lemma10_bound_check(_instance(1, 1, 1, 1), "other", [])
 
 
 def test_bound_check_ratio_modest_on_example():
     inst = _instance(8, 10, 6, 6, u=3, n=7)
-    rep = counting.lemma10_bound_check(inst, "plain")
-    assert rep["count"] == len(counting.enumerate_A(inst))
+    plain = counting.enumerate_A(inst)
+    rep = counting.lemma10_bound_check(inst, "plain", plain)
+    assert rep["count"] == len(plain)
     assert rep["ratio"] < 1e4
 
 
@@ -123,7 +124,7 @@ def test_identity_only_at_tiny_delta():
                                N=SquarefreeModulus.from_int(5), delta=1e-6)
     mats = counting.enumerate_R_N_matrices(inst)
     assert mats == [(-1, 0, 0, -1), (1, 0, 0, 1)]
-    split = counting.matrix_count_split(inst)
+    split = counting.matrix_count_split(mats)
     assert split["M0"] == 1 and split["Mstar"] == 0 and split["excluded_negative"] == 1
 
 
@@ -157,8 +158,9 @@ def test_geometric_kernel_shape():
 def test_geometric_sum_ratio_modest():
     inst = MatrixCountInstance(x=0.3, y=0.8, n=2,
                                N=SquarefreeModulus.from_int(3), delta=4.0)
+    mats = counting.enumerate_R_N_matrices(inst)
     for T in (4.0, 16.0, 64.0):
-        rep = counting.geometric_sum(inst, T)
+        rep = counting.geometric_sum(inst, mats, T)
         assert rep["ratio"] <= 1e3
 
 
@@ -168,7 +170,7 @@ def test_ubound_value():
     assert counting.ubound_value(inst) == pytest.approx(4 ** 0.1 * (1 + 2 * 2.0))
 
 
-# -- the lemma-10 sweep enumerates each box once -----------------------------
+# -- the sweeps enumerate each instance once ---------------------------------
 
 def test_sweep_lemma10_enumerates_each_box_once(monkeypatch):
     calls = []
@@ -180,13 +182,27 @@ def test_sweep_lemma10_enumerates_each_box_once(monkeypatch):
     assert rep["max_ratio_square"] > 0
 
 
-def test_bound_check_reuses_the_plain_list():
+def test_bound_check_reuses_the_plain_list(monkeypatch):
     inst = _instance(6, 9, 4, 5, u=2, n=7)
     plain = counting.enumerate_A(inst)
-    for which in ("plain", "square"):
-        rep = counting.lemma10_bound_check(inst, which)
-        assert counting.lemma10_bound_check(inst, which, plain) == rep
+    monkeypatch.setattr(counting, "enumerate_A", None)   # no second enumeration
+    counts = {"plain": len(plain), "square": len(counting.enumerate_A_square(inst, plain))}
+    assert 0 < counts["square"] < counts["plain"]
+    for which, count in counts.items():
+        rep = counting.lemma10_bound_check(inst, which, plain)
+        assert rep["count"] == count
         assert rep["bound"] == counting.lemma10_bound(inst, which)
+
+
+def test_matrix_sweeps_enumerate_each_instance_once(monkeypatch):
+    # 50 instances in counting/matrices-ubound and 3 in counting/matrices-geometric
+    calls = []
+    enumerate_matrices = counting.enumerate_R_N_matrices
+    monkeypatch.setattr(counting, "enumerate_R_N_matrices",
+                        lambda inst: calls.append(inst) or enumerate_matrices(inst))
+    report = verify.run_verify(verify.RunConfig(seed=0), "counting/matrices-*")
+    assert report["all_passed"] and len(report["properties"]) == 2
+    assert len(calls) == 53
 
 
 # -- box quadruples: the numpy passes against the per-(c, r1, r2) loop --------
