@@ -24,9 +24,9 @@ import click
 
 from . import __version__
 from . import amplifier as amp_mod
-from . import counting, exponents, kloosterman, oscillatory, specfun, transforms, verify
+from . import counting, exponents, kloosterman
 from .arithmetic import (THETA, DirichletCharacter, ResourceLimitError, SquarefreeModulus,
-                         primes_in_interval)
+                         dirichlet_approximate, primes_in_interval)
 
 CONFIG_ENV_VAR = "SUPNORM_CONFIG"
 
@@ -173,6 +173,7 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
     """Evaluate one special function, or `bessel verify` for the full grid."""
     if ctx.invoked_subcommand is not None:
         return
+    from . import specfun
     if fn is None or y is None:
         raise click.UsageError("--fn and --y are required")
     if fn == "J":
@@ -206,6 +207,7 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
               help="CSV path (atomic); stdout otherwise.")
 def bessel_verify_cmd(output):
     """Run the special-function property grid; CSV of (property, constant, limit)."""
+    from . import verify
     rows = verify.specfun_rows(verify.sweep_specfun())
     _emit_csv(["property", "constant", "limit", "passed"],
               [[name, repr(float(const)), repr(limit), passed]
@@ -224,6 +226,7 @@ def bessel_verify_cmd(output):
 @_bad_input()
 def transform_cmd(a_deg, b_deg, k, t, method, output):
     """Spectral transform of the test function, closed form and/or quadrature."""
+    from . import transforms
     if (k is None) == (t is None):
         raise click.UsageError("exactly one of --k / --t is required")
     tf = transforms.TestFunction(a_deg, b_deg)
@@ -259,7 +262,7 @@ def transform_cmd(a_deg, b_deg, k, t, method, output):
 def approx_cmd(x, h_cap, output):
     """Continued-fraction rational approximation with denominator cap H."""
     value = _parse_rational(x) if "/" in x else float(x)
-    r = oscillatory.dirichlet_approximate(value, h_cap)
+    r = dirichlet_approximate(value, h_cap)
     _emit({"x": float(value), "a": r.a, "q": r.q, "H": r.H, "beta": r.beta}, output)
 
 
@@ -272,6 +275,7 @@ def approx_cmd(x, h_cap, output):
 @_bad_input()
 def decay_cmd(z_scale, t_scale, alpha, j, output):
     """Windowed exponential sum against the Z (T ||alpha||)^-j envelope."""
+    from . import oscillatory
     aval = _parse_rational(alpha) if "/" in alpha else float(alpha)
     w = oscillatory.SmoothWindow(z_scale, t_scale)
     _emit(oscillatory.lemma4_decay_check(w, aval, j), output)
@@ -289,6 +293,7 @@ def decay_cmd(z_scale, t_scale, alpha, j, output):
 @_bad_input()
 def vintegral_cmd(kind, k, t, sign, z_scale, t_scale, alpha, output):
     """Window-against-kernel integral with both envelope ratios."""
+    from . import oscillatory, specfun
     if kind == "holomorphic":
         if k is None:
             raise click.UsageError("--k required for holomorphic")
@@ -308,13 +313,6 @@ def vintegral_cmd(kind, k, t, sign, z_scale, t_scale, alpha, output):
 @main.group("count")
 def count_cmd():
     """Lattice-point and matrix counts with their envelope ratios."""
-
-
-def _counting_instance(c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap):
-    mod = SquarefreeModulus.from_int(n_level)
-    approx = oscillatory.dirichlet_approximate(Fraction(u, n_level), h_cap)
-    return counting.CountingInstance(C=c_scale, S=s, R=r, R_tilde=r_tilde,
-                                     d1=d1, d2=d2, u=u, N=mod, approx=approx)
 
 
 _count_params = [
@@ -342,8 +340,8 @@ def _make_count_command(name: str, which: str):
     @output_option
     @_bad_input()
     def cmd(c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap, emit_elements, output):
-        inst = _counting_instance(c_scale, s, r, r_tilde, d1, d2, u, n_level,
-                                  h_cap if h_cap is not None else float(n_level))
+        inst = counting.CountingInstance(C=c_scale, S=s, R=r, R_tilde=r_tilde, d1=d1, d2=d2,
+                                         u=u, N=SquarefreeModulus.from_int(n_level), H=h_cap)
         plain = counting.enumerate_A(inst)
         rep = counting.lemma10_bound_check(inst, which, plain)
         out = {"count": rep["count"], "bound": rep["bound"], "ratio": rep["ratio"]}
@@ -470,6 +468,7 @@ def optimize_hybrid_cmd(output):
 @output_option
 def verify_cmd(selector, seed, config_path, fmt, output):
     """Run the deterministic property suite; exit 1 if any property fails."""
+    from . import verify
     with _bad_input():
         cfg = verify.load_config(config_path, seed=seed, output_format=fmt,
                                  output_path=output)

@@ -18,15 +18,16 @@ and checks the ones in the box exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import (ResourceLimitError, SquarefreeModulus, batch_inverse, factorint,
-                         p_adic_valuation, unit_blocks)
-from .oscillatory import RationalApproximation
+from .arithmetic import (RationalApproximation, ResourceLimitError, SquarefreeModulus,
+                         batch_inverse, dirichlet_approximate, factorint, p_adic_valuation,
+                         unit_blocks)
 
 
 class BoxLimitError(ResourceLimitError):
@@ -51,13 +52,19 @@ class CountingInstance:
     d2: int
     u: int
     N: SquarefreeModulus
-    approx: RationalApproximation | None = None
+    H: float | None = None     # the denominator cap of `approx`; None means N
 
     def __post_init__(self):
         if min(self.C, self.S, self.R, self.R_tilde) < 0 or self.C < 1:
             raise ValueError("require C >= 1 and S, R, R_tilde >= 0")
         if self.d1 < 1 or self.d2 < 1 or self.u < 1:
             raise ValueError("d1, d2, u must be positive")
+        self.approx     # a bad H fails here, before any enumeration
+
+    @functools.cached_property
+    def approx(self) -> RationalApproximation:
+        n = self.N.value
+        return dirichlet_approximate(Fraction(self.u, n), n if self.H is None else self.H)
 
     def box_volume(self) -> float:
         return self.C * (2 * self.S + 1) * (2 * self.R + 1) * (2 * self.R_tilde + 1)
@@ -143,8 +150,6 @@ def enumerate_A_square(inst: CountingInstance, plain: list[tuple]) -> list[tuple
 def lemma10_bound(inst: CountingInstance, which: str = "plain") -> float:
     """The counting bound for enumerate_A ("plain") or enumerate_A_square
     ("square"), with the epsilon powers set to 1."""
-    if inst.approx is None:
-        raise ValueError("instance needs a rational approximation (a, q, H) of u/N")
     if which not in ("plain", "square"):
         raise ValueError(f"which must be 'plain' or 'square', got {which!r}")
     q, H = inst.approx.q, inst.approx.H
@@ -374,11 +379,11 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
 
 
 def _signed_divisors(n: int) -> list[int]:
-    ds = []
-    for a in range(1, n + 1):
-        if n % a == 0:
-            ds.extend([a, -a])
-    return ds
+    """The divisors a of n in increasing order, each followed by -a."""
+    divisors = [1]
+    for p, k in factorint(n).items():
+        divisors = [d * p ** e for d in divisors for e in range(k + 1)]
+    return [s for a in sorted(divisors) for s in (a, -a)]
 
 
 def _oracle_box(inst: MatrixCountInstance, cap: int | None = None) -> tuple[int, int, int]:

@@ -1,8 +1,7 @@
 """Smooth cutoffs and the oscillatory-sum/integral estimates built on them:
 plateau windows on [Z/2, 2Z] with derivative scale T, an exact dyadic partition
-of unity, exponential-sum decay under Poisson summation, kernel integrals
-against the plus/minus Bessel kernels, and continued-fraction rational
-approximation.
+of unity, exponential-sum decay under Poisson summation, and kernel integrals
+against the plus/minus Bessel kernels.
 
 The kernels come from `specfun.voronoi_kernel_values`, which evaluates the
 imaginary-order Bessel functions of a Maass form over a whole node array at
@@ -99,52 +98,6 @@ class DyadicPartition:
             total += self(x / 2.0 ** nu)
         worst = float(np.max(np.abs(total - 1.0)))
         return {"max_deviation": worst, "points": len(x)}
-
-
-# ---------------------------------------------------------------------------
-# rational approximation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RationalApproximation:
-    x: float
-    a: int
-    q: int
-    H: float
-    beta: float
-
-    def __post_init__(self):
-        if self.q < 1 or math.gcd(self.a, self.q) != 1:
-            raise ValueError("require q >= 1 and gcd(a, q) = 1")
-        if self.q > self.H:
-            raise ValueError(f"q={self.q} exceeds H={self.H}")
-        if abs(self.beta) > 1.0 / (self.q * self.H) + 1e-15:
-            raise ValueError("|x - a/q| > 1/(qH)")
-
-
-def dirichlet_approximate(x, H: float) -> RationalApproximation:
-    """Best continued-fraction convergent a/q of x with q <= H; then
-    |x - a/q| <= 1/(q H) automatically."""
-    if not 1 <= H < math.inf:
-        raise ValueError(f"need finite H >= 1, got {H}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    H = float(H)    # the cap the result records, so that q <= H holds there too
-    xf = Fraction(x)
-    # convergents of the continued fraction of x
-    p_prev, q_prev, p_cur, q_cur = 1, 0, math.floor(xf), 1
-    frac = xf - math.floor(xf)
-    while frac != 0:
-        rec = 1 / frac
-        a_k = math.floor(rec)
-        frac = rec - a_k
-        p_nxt, q_nxt = a_k * p_cur + p_prev, a_k * q_cur + q_prev
-        if q_nxt > H:
-            break
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
-    return RationalApproximation(
-        x=float(x), a=p_cur, q=q_cur, H=H, beta=float(xf - Fraction(p_cur, q_cur))
-    )
 
 
 def distance_to_nearest_integer(alpha) -> float:

@@ -151,11 +151,10 @@ def sweep_lemma10(rng: random.Random, n_instances: int = 60) -> dict:
         nval = rng.choice(_SWEEP_MODULI)
         mod = SquarefreeModulus.from_int(nval)
         u = rng.randint(1, nval)
-        approx = oscillatory.dirichlet_approximate(Fraction(u, nval), nval)
         inst = counting.CountingInstance(
             C=rng.randint(1, 20), S=rng.randint(1, 20), R=rng.randint(1, 20),
             R_tilde=rng.randint(1, 20), d1=rng.randint(1, 3), d2=rng.randint(1, 3),
-            u=u, N=mod, approx=approx)
+            u=u, N=mod)
         plain = counting.enumerate_A(inst)
         if plain != counting.enumerate_A_naive(inst):
             dual_ok = False

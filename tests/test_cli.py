@@ -253,6 +253,13 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
     # past |t| ~ 452 cosh(pi t/2) overflows as well as cosh(pi t)
     (["bessel", "--fn", "Ypair", "--t", "460", "--y", "1"],
      "the Y pair overflows float64 at t = 460.0"),
+    (["count", "A", "--C", "1", "--S", "1", "--R", "1", "--r-tilde", "1", "--u", "3",
+      "--N", "7", "--H", "0.5"], "need finite H >= 1, got 0.5"),
+    (["count", "A", "--C", "1", "--S", "1", "--R", "1", "--r-tilde", "1", "--u", "3",
+      "--N", "7", "--H", "inf"], "need finite H >= 1, got inf"),
+    # H is checked when the instance is built, before the box volume cap (exit 3)
+    (["count", "A", "--C", "10000", "--S", "1000", "--R", "1000", "--r-tilde", "1000",
+      "--u", "3", "--N", "7", "--H", "0.5"], "need finite H >= 1, got 0.5"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
@@ -269,6 +276,22 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "False", "False"]
+
+
+@pytest.mark.parametrize("code", [
+    "import supnorm.arithmetic, supnorm.counting, supnorm.kloosterman, supnorm.amplifier, "
+    "supnorm.exponents",
+    "from supnorm.cli import main\n"
+    "try: main(['count', 'matrices', '--help'])\n"
+    "except SystemExit: pass",
+], ids=["exact-core", "count-matrices-help"])
+def test_exact_core_and_count_commands_load_no_scipy(code):
+    # scipy is for the analytic modules (specfun, transforms, oscillatory) only
+    env = {**os.environ, "PYTHONPATH": str(Path(supnorm.__file__).parents[1])}
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_runtime_dependencies_are_the_third_party_imports_of_src():
@@ -305,6 +328,16 @@ def test_count_matrices_at_a_large_semiprime_level(runner):
     assert res.exit_code == 0
     assert time.perf_counter() - start < 5
     assert json.loads(res.output)["M0"] == 3
+
+
+def test_count_matrices_with_many_divisor_candidates(runner):
+    # 4 * 10^8 passes the box cap at c = 0; scanning every a <= n for divisors took ~25 s
+    start = time.perf_counter()
+    res = runner.invoke(main, ["count", "matrices", "--x", "0", "--y", "1000", "--n",
+                               "400000000", "--n-level", "1", "--delta", "0"])
+    assert res.exit_code == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(res.output)["M"] == 0
 
 
 def test_amplifier_over_the_sieve_cap_exits_3_at_once(runner):

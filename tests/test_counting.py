@@ -7,8 +7,8 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from supnorm import counting, oscillatory, verify
-from supnorm.arithmetic import SquarefreeModulus, p_adic_valuation
+from supnorm import counting, verify
+from supnorm.arithmetic import SquarefreeModulus, dirichlet_approximate, p_adic_valuation
 from supnorm.counting import (
     BoxLimitError,
     CongruenceReductionInstance,
@@ -23,10 +23,8 @@ _N_15 = _BIG_N // 53    # the first 15 primes: above 2^59, below 2^63
 
 
 def _instance(C, S, R, Rt, d1=1, d2=1, u=1, n=5):
-    mod = SquarefreeModulus.from_int(n)
-    approx = oscillatory.dirichlet_approximate(Fraction(u, n), n)
     return CountingInstance(C=C, S=S, R=R, R_tilde=Rt, d1=d1, d2=d2, u=u,
-                            N=mod, approx=approx)
+                            N=SquarefreeModulus.from_int(n))
 
 
 def test_empty_box_example():
@@ -71,12 +69,18 @@ def test_box_limit_error():
 
 
 def test_bound_check_requires_approx():
-    mod = SquarefreeModulus.from_int(5)
-    inst = CountingInstance(C=1, S=1, R=1, R_tilde=1, d1=1, d2=1, u=1, N=mod)
-    with pytest.raises(ValueError):
-        counting.lemma10_bound_check(inst, "plain", [])
+    # the approximation of u/N is derived from (u, N, H), with H = N by default
     with pytest.raises(ValueError):
         counting.lemma10_bound_check(_instance(1, 1, 1, 1), "other", [])
+    mod = SquarefreeModulus.from_int(35)
+    inst = CountingInstance(C=1, S=1, R=1, R_tilde=1, d1=1, d2=1, u=12, N=mod)
+    assert inst.approx == dirichlet_approximate(Fraction(12, 35), 35)
+    capped = CountingInstance(C=1, S=1, R=1, R_tilde=1, d1=1, d2=1, u=12, N=mod, H=4)
+    assert capped.approx == dirichlet_approximate(Fraction(12, 35), 4)
+    assert (capped.approx.q, capped.approx.H) == (3, 4.0)
+    assert counting.lemma10_bound(capped) != counting.lemma10_bound(inst)
+    with pytest.raises(ValueError, match="need finite H >= 1"):
+        CountingInstance(C=1, S=1, R=1, R_tilde=1, d1=1, d2=1, u=12, N=mod, H=0.5)
 
 
 def test_bound_check_ratio_modest_on_example():
@@ -139,6 +143,12 @@ def test_matrix_dual_oracle(x, y, n, nval, delta):
     inst = MatrixCountInstance(x=x, y=y, n=n,
                                N=SquarefreeModulus.from_int(nval), delta=delta)
     assert counting.enumerate_R_N_matrices(inst) == counting.enumerate_matrices_naive(inst)
+
+
+def test_signed_divisors_against_a_scan():
+    for n in [*range(1, 1500), 2 ** 19, 3 ** 12, 720720, 999983]:
+        scan = [s for a in range(1, n + 1) if n % a == 0 for s in (a, -a)]
+        assert counting._signed_divisors(n) == scan, n
 
 
 def test_matrix_validation():

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supnorm import oscillatory
-from supnorm.oscillatory import (
-    DyadicPartition,
-    RationalApproximation,
-    SmoothWindow,
-    dirichlet_approximate,
-    distance_to_nearest_integer,
-)
+from supnorm.arithmetic import RationalApproximation, dirichlet_approximate
+from supnorm.oscillatory import DyadicPartition, SmoothWindow, distance_to_nearest_integer
 from supnorm.specfun import ArchimedeanParameter
 
 
