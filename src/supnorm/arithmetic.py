@@ -310,8 +310,10 @@ def log_table(p: int) -> np.ndarray:
 
 
 def unit_blocks(m: int, primes, block: int):
-    """The units mod m in increasing order, as int64 arrays of at most `block`
-    residues; `primes` are the prime factors of m.  Mod 1 the only unit is 0."""
+    """The integers in [0, m) prime to every p in `primes`, in increasing order,
+    as int64 arrays of at most `block` residues.  With `primes` the prime
+    factors of m these are the units mod m (mod 1 the only unit is 0); with the
+    prime factors of c and m = (c + 1)//2, the units a < c/2 mod c."""
     for lo in range(0, m, block):
         keep = np.ones(min(block, m - lo), dtype=bool)
         for p in primes:

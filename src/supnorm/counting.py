@@ -337,8 +337,12 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
     c_max = (root_nd + math.sqrt(n * (1 + delta))) / y
     p_max = 2 * math.sqrt(n * (1 + delta))
     volume = (c_max / N + 1) * (2 * p_max + 3) * (4 * root_nd + 5)
-    # at c = 0: at most 2n signed divisors a, with fewer than 4 sqrt(n delta) y + 1 b each
-    volume += 2 * n * (4 * root_nd * y + 1)
+    # at c = 0: the signed divisors a, with fewer than 4 sqrt(n delta) y + 1 b each.
+    # The c > 0 box alone, over 20 sqrt(n), is past the cap for every n > 2.5e15,
+    # so n is factored only when it is within it
+    if volume <= BOX_LIMIT:
+        divisors = _signed_divisors(n)
+        volume += len(divisors) * (4 * root_nd * y + 1)
     if volume > BOX_LIMIT:
         raise BoxLimitError("matrix candidate box exceeds cap")
     (xn, xd), (yn, yd), (en, ed) = (v.as_integer_ratio() for v in (x, y, delta))
@@ -347,7 +351,7 @@ def enumerate_R_N_matrices(inst: MatrixCountInstance) -> list[tuple]:
     out = []
     # c = 0: a d = n, both sign pairs; |b D - (d-a) X| < Y sqrt(gap / D) with
     # gap = D (4 n delta - (d-a)^2)
-    for a in _signed_divisors(n):
+    for a in divisors:
         d = n // a if a > 0 else -(n // (-a))
         gap = 4 * n * E - (d - a) ** 2 * D
         if a * d != n or gap <= 0:

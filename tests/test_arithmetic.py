@@ -159,6 +159,9 @@ def test_unit_blocks_and_batch_inverse(m, block):
     assert all(0 < len(units) <= block for units in blocks)
     units = np.concatenate(blocks).tolist()
     assert units == [a for a in range(m) if math.gcd(a, m) == 1]
+    # a bound below m gives the units under it, as the Kloosterman sums' a < m/2
+    half = [int(a) for x in unit_blocks((m + 1) // 2, sympy.primefactors(m), block) for a in x]
+    assert half == [a for a in units if 2 * a < m]
     for x in blocks:
         assert batch_inverse(x, m).tolist() == [pow(int(a), -1, m) for a in x]
 

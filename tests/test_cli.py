@@ -101,6 +101,9 @@ def test_count_matrices_resource_cap(runner):
      "--u", "3", "--n-level", "7"],
     ["count", "reduce", "--l1", "2", "--l2", "3", "--c", "1000000000", "--u", "1",
      "--n-level", "5", "--r1", "50", "--r2", "50"],
+    # the c > 0 box is over the cap before n, past the exact primality range, is factored
+    ["count", "matrices", "--x", "0", "--y", "1", "--n", "1000000000004010000000001147",
+     "--n-level", "1", "--delta", "0"],
 ])
 def test_count_resource_cap(runner, args):
     res = runner.invoke(main, args)
@@ -331,13 +334,16 @@ def test_count_matrices_at_a_large_semiprime_level(runner):
 
 
 def test_count_matrices_with_many_divisor_candidates(runner):
-    # 4 * 10^8 passes the box cap at c = 0; scanning every a <= n for divisors took ~25 s
-    start = time.perf_counter()
-    res = runner.invoke(main, ["count", "matrices", "--x", "0", "--y", "1000", "--n",
-                               "400000000", "--n-level", "1", "--delta", "0"])
-    assert res.exit_code == 0
-    assert time.perf_counter() - start < 5
-    assert json.loads(res.output)["M"] == 0
+    # 4 * 10^8 passes the box cap at c = 0; scanning every a <= n for divisors
+    # took ~25 s.  6 * 10^8 has 360 signed divisors, but charged as 2n of them
+    # it was over the cap (exit 3)
+    for n in ("400000000", "600000000"):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["count", "matrices", "--x", "0", "--y", "1000", "--n", n,
+                                   "--n-level", "1", "--delta", "0"])
+        assert res.exit_code == 0, n
+        assert time.perf_counter() - start < 5
+        assert json.loads(res.output)["M"] == 0
 
 
 def test_amplifier_over_the_sieve_cap_exits_3_at_once(runner):

@@ -59,9 +59,10 @@ def test_symmetry_in_m_n():
 
 
 def test_trivial_sum_is_real():
-    for c in range(2, 40):
+    # a and -a are summed as one cosine, so the imaginary part is exactly 0
+    for c in list(range(1, 40)) + [1009, 30030, 2 ** 15]:
         v = kloosterman_sum(KloostermanQuery(1, 4, c, TRIVIAL))
-        assert abs(v.imag) < 1e-10
+        assert v.imag == 0.0
 
 
 def test_twisted_matches_brute_force():
@@ -69,6 +70,28 @@ def test_twisted_matches_brute_force():
         for c in (5, 10, 15):
             q = KloostermanQuery(1, 2, c, chi)
             assert abs(kloosterman_sum(q) - brute_force(1, 2, c, chi)) < 1e-9
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 6])
+def test_small_c_with_a_zero_coefficient(c):
+    # c <= 2, where a = -a, and the least c that pair a unit with its negative
+    for m, n in [(0, 5), (c, -7), (3, 2 * c), (-2 * c, 0), (0, 0)]:
+        for chi in enumerate_characters(math.gcd(c, 15)):
+            q = KloostermanQuery(m, n, c, chi)
+            assert abs(kloosterman_sum(q) - brute_force(m, n, c, chi)) < 1e-9, (m, n, chi)
+
+
+@pytest.mark.parametrize("big_n", [15, 21])
+def test_every_character_of_both_parities(big_n):
+    parities = set()
+    for i, chi in enumerate(enumerate_characters(big_n)):
+        parities.add(chi.is_even())
+        m, n = 3 - 2 * i, 5 + i
+        for k in (1, 2, 4):
+            q = KloostermanQuery(m, n, big_n * k, chi)
+            assert abs(kloosterman_sum(q) - brute_force(m, n, big_n * k, chi)) < 1e-9, \
+                (chi.component_exponents, k)
+    assert parities == {True, False}
 
 
 def test_rejects_modulus_not_dividing_c():

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from supnorm import counting, exponents, specfun, transforms, verify
+from supnorm import counting, exponents, kloosterman, specfun, transforms, verify
 
 
 def _mutate(monkeypatch, module, name, old, new):
@@ -49,6 +49,11 @@ FAULTS = {
     "integration-by-parts rhs order r + 1 becomes r": (
         "specfun/grid", None, specfun, "check_ibp_identity",
         "bes(r + 1, alpha * root)", "bes(r, alpha * root)"),
+    # every sum halves, so the ratio to the reference bound stays under its
+    # limit (0.335); only the comparison with the direct sum sees the fault
+    "pair factor 2 dropped in kloosterman_sum": (
+        "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
+        "return complex(2 * half)", "return complex(half)"),
 }
 
 

@@ -83,9 +83,11 @@ CASES = {
         [("at limit", {"max_deviation": 1e-12}, True),
          ("above limit", {"max_deviation": 1.01e-12}, False)]),
     "kloosterman/weil-reference": (
-        {"instances": 40, "max_ratio_squarefree_trivial": 0.67},
+        {"instances": 40, "max_direct_error": 1.3e-15, "max_ratio_squarefree_trivial": 0.67},
         [("at limit", {"max_ratio_squarefree_trivial": 1.0}, True),
-         ("above limit", {"max_ratio_squarefree_trivial": 1.01}, False)]),
+         ("above limit", {"max_ratio_squarefree_trivial": 1.01}, False),
+         ("direct error at tolerance", {"max_direct_error": 1e-9}, True),
+         ("direct error above tolerance", {"max_direct_error": 1.01e-9}, False)]),
 }
 
 
