@@ -115,7 +115,8 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
 def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
     """Independent second enumerator: tests the divisibility at every point of
     the box, with the four 1-D axes (c, s, r1, r2) broadcast against each other,
-    and reads the quadruples off `np.nonzero`, whose C order is lexicographic.
+    and reads the quadruples off the flat indices of the hits (`np.flatnonzero`,
+    then `np.unravel_index`), whose C order is lexicographic.
     The axes are int64 for N < 2^31, where no residue sum reaches 2^63, and
     Python integers above."""
     if inst.box_volume() > BOX_LIMIT:
@@ -130,7 +131,9 @@ def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
     # N | head + u d1 r2, with head the residue of every other term over (c, s, r1)
     head = (u * u * inst.d1 * inst.d2 % n * c[:, None, None] + s[:, None]
             + u * inst.d2 % n * r1) % n
-    ic, i_s, i1, i2 = np.nonzero(head[..., None] == -(u * inst.d1 % n) * r2 % n)
+    ic, i_s, i1, i2 = np.unravel_index(
+        np.flatnonzero(head[..., None] == -(u * inst.d1 % n) * r2 % n),
+        (len(c), len(s), len(r1), len(r2)))
     return list(zip(c[ic].tolist(), s[i_s].tolist(), r1[i1].tolist(), r2[i2].tolist()))
 
 

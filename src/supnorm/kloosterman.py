@@ -22,8 +22,9 @@ counting modules trust, and it stays fast at desk scale (c <= 10^6): about
 - Both angles are exact rationals: k/c, and j/ord(chi) with chi(a) =
   e(j/ord(chi)), whose numerators `DirichletCharacter.angle_numerators` reads
   from cached discrete-log tables.  Each is rounded to a float once, as 2 pi
-  times the quotient, before its cosine and sine; the doubling is applied
-  once, to the whole sum.
+  times the quotient, before its cosine and sine; the character angle takes
+  only ord(chi) values, so its cosine and sine are tables indexed by j.  The
+  doubling is applied once, to the whole sum.
 - Residues are processed in blocks of at most `_BLOCK`, so peak memory does not
   grow with c.
 """
@@ -63,20 +64,22 @@ def kloosterman_sum(q: KloostermanQuery) -> complex:
     if c <= 2:
         return complex((-1) ** ((m + n) % c))
     order, odd = chi.order(), not chi.is_even()
+    # conj(chi(a)) = e(-psi / 2 pi) with psi = 2 pi j / order, tabulated per j
+    psi = 2 * np.pi * (np.arange(order) / order)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     half = 0j    # the sum over the units a < c/2 of the pair (a, c - a), halved
     for a in unit_blocks((c + 1) // 2, factorint(c), _BLOCK):
         theta = 2 * np.pi * ((m % c * batch_inverse(a, c) + n % c * a) % c / c)
         if order == 1:
             half += np.cos(theta).sum()
             continue
-        # a is a unit mod c, hence mod N | c; conj(chi(a)) = e(-psi / 2 pi)
-        psi = 2 * np.pi * (chi.angle_numerators(a, order) / order)
+        j = chi.angle_numerators(a, order)   # a is a unit mod c, hence mod N | c
         if odd:     # conj(chi(a)) i sin(theta)
             s = np.sin(theta)
-            half += complex((np.sin(psi) * s).sum(), (np.cos(psi) * s).sum())
+            half += complex((sin_psi[j] * s).sum(), (cos_psi[j] * s).sum())
         else:       # conj(chi(a)) cos(theta)
             w = np.cos(theta)
-            half += complex((np.cos(psi) * w).sum(), -(np.sin(psi) * w).sum())
+            half += complex((cos_psi[j] * w).sum(), -(sin_psi[j] * w).sum())
     return complex(2 * half)
 
 

@@ -10,13 +10,15 @@ once in float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .specfun import ArchimedeanParameter, gauss_legendre_panels, voronoi_kernel_values
+from .specfun import (ArchimedeanParameter, gauss_legendre_panels, read_only,
+                      voronoi_kernel_values)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,16 @@ def lemma4_t_sweep(Z: float, alpha, j: int, t_values) -> dict:
 # kernel integrals (Lemma 6 shapes)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _kernel_on_panels(z: float, param: ArchimedeanParameter, sign: str, alpha: float):
+    """Nodes v in sqrt(xi), weights and kernel(alpha v) for a window on [z/2, 2z],
+    which do not depend on its T: a sweep over T evaluates each kernel once."""
+    v_lo, v_hi = math.sqrt(z / 2), math.sqrt(2 * z)
+    # kernel phase is alpha*v; keep panel phase below ~2 radians
+    v, weights = gauss_legendre_panels(v_lo, v_hi, min((v_hi - v_lo) / 8, 2.0 / alpha))
+    return read_only(v, weights, voronoi_kernel_values(param, sign, alpha * v))
+
+
 def voronoi_integral(w: SmoothWindow, param: ArchimedeanParameter, sign: str,
                      alpha: float) -> float:
     """I = int g(xi) kernel(alpha sqrt(xi)) dxi over the window's support, on
@@ -157,10 +169,7 @@ def voronoi_integral(w: SmoothWindow, param: ArchimedeanParameter, sign: str,
     the sum is numpy's own reduction, like `transforms._quadrature`."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    v_lo, v_hi = math.sqrt(w.Z / 2), math.sqrt(2 * w.Z)
-    # kernel phase is alpha*v; keep panel phase below ~2 radians
-    v, weights = gauss_legendre_panels(v_lo, v_hi, min((v_hi - v_lo) / 8, 2.0 / alpha))
-    kern = voronoi_kernel_values(param, sign, alpha * v)
+    v, weights, kern = _kernel_on_panels(w.Z, param, sign, alpha)
     return float((weights * w(v * v) * kern * 2 * v).sum())
 
 

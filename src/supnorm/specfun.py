@@ -14,9 +14,11 @@ summed on fixed 16-node Gauss-Legendre panels:
 Moving the contour to Im u = theta turns the oscillation in u into decay while
 keeping the cancellation between exponentially large terms bounded, so both
 stay accurate in double precision at every |t|; the ratio switches to the
-Hankel expansion at large y.  Every other imaginary-order function here is a
-scalar wrapper around these two, in float64 throughout; their independent
-oracles are in the tests.
+Hankel expansion at large y.  Each band [4^k, 4^(k+1)) of y gets its own
+nodes (`_radial_nodes`); the ratio takes two cosines per node, and each row
+is numpy's own sum, so no value depends on the block size or the BLAS.  Every
+other imaginary-order function here is a scalar wrapper around these two, in
+float64 throughout; their independent oracles are in the tests.
 
 Every integral in the package is summed on the one 16-node Gauss-Legendre
 rule, built here on first use (`gauss_legendre_nodes`, and
@@ -80,7 +82,7 @@ _PANEL_PHASE = 12.0  # radians per 16-node panel; 16 nodes integrate 16 rad to 1
 _DECAY = 40.0        # integrands are cut where their envelope is below e^-40
 _BLOCK = 2 ** 17     # (y x node) elements per block, which bounds peak memory
 _HANKEL_CUT = 150.0  # the ratio uses the Hankel expansion for y >= max(150, 1.5 t^2)
-_MAX_PANELS = 2 ** 17  # radial panels; |t| = 1e4 needs about 1.0e5 at y = 1e-3
+_MAX_PANELS = 2 ** 17  # radial panels; |t| = 1e4 needs about 1.1e5 at y = 1e-3
 
 
 @functools.cache
@@ -110,17 +112,31 @@ def gauss_legendre_panels(lo: float, hi: float, length: float):
 def _radial_nodes(omega: float, p_min: float, p_max: float):
     """Panels on [0, p_max] in p = y sinh v, for integrands bounded by 1 that
     oscillate like cos(omega asinh(p/y)) plus at most unit frequency in p and
-    whose only singularities are at p = +-iy with y >= 4 p_min.  After one
-    panel [0, p_min], each panel at p has width min(p, _PANEL_PHASE / (omega/p + 2)):
-    geometric where the log-oscillation dominates, uniform beyond.  Raises
-    past _MAX_PANELS panels, before any node array is built."""
-    edges = [0.0, p_min]
+    whose only singularities are at p = +-iy with y >= 4 p_min.  A panel at p
+    is min(p, _PANEL_PHASE p / (omega + 2p)) wide: geometric where the
+    log-oscillation dominates, uniform beyond.  The first, from 0, has the
+    rate bound omega/(4 p_min) + 2 in place of omega/p + 2.  Neither rule can
+    overflow.  Raises past _MAX_PANELS panels, before any node array is built."""
+    edges = [0.0, min(p_min, _PANEL_PHASE * 4 * p_min / (omega + 8 * p_min))]
     while edges[-1] < p_max:
         if len(edges) > _MAX_PANELS:
             raise ValueError(f"frequency {omega:g} needs more than {_MAX_PANELS} panels")
         p = edges[-1]
-        edges.append(p + min(p, _PANEL_PHASE / (omega / p + 2.0)))
+        edges.append(p + min(p, _PANEL_PHASE * p / (omega + 2 * p)))
     return gauss_legendre_nodes(edges)
+
+
+def _bands(y: np.ndarray):
+    """Indices of y in each band [4^k, 4^(k+1)) that holds any, lowest first."""
+    band = (np.frexp(y)[1] - 1) >> 1
+    return (np.flatnonzero(band == k) for k in np.unique(band))
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only, as every cache of arrays hands them out."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _row_blocks(n_rows: int, n_nodes: int):
@@ -158,23 +174,30 @@ def _ratio_contour(t: float, y: np.ndarray) -> np.ndarray:
     """-(2/pi) Re int e^{iy cosh u} cos(2tu) du over 0 -> i theta -> i theta + inf,
     theta = min(pi/2, 1/t), so |cos(2tu)| <= cosh(2 t theta) <= cosh 2.  The
     vertical leg contributes -int_0^theta sin(y cos s) cosh(2ts) ds; the
-    horizontal one, in p = y sinh v, decays like e^{-p sin theta}."""
+    horizontal one, in p = y sinh v, decays like e^{-p sin theta}; with
+    r = y cosh v, a = r cos theta and phi = 2tv its integrand is
+    (e^{2t theta} cos(a - phi) + e^{-2t theta} cos(a + phi)) / 2r.  As
+    y < max(150, 1.5 t^2) and `_radial_nodes` raises past t ~ 1e5, y^2 + p^2
+    cannot overflow; bands below y = 1e-150 take `np.hypot`."""
     theta = math.pi / 2 if t <= 2 / math.pi else 1 / t
-    p, wp = _radial_nodes(2 * t, y.min() / 4, _DECAY / math.sin(theta))
-    n_vert = math.ceil((y.max() * (1 - math.cos(theta)) + 2 * t * theta) / _PANEL_PHASE)
-    s, ws = gauss_legendre_nodes(np.linspace(0.0, theta, n_vert + 1))
     cos_th, sin_th = math.cos(theta), math.sin(theta)
-    ch, sh = math.cosh(2 * t * theta), math.sinh(2 * t * theta)
-    vertical = np.cosh(2 * t * s) * ws
-    envelope = np.exp(-p * sin_th) * wp
+    grow, shrink = math.exp(2 * t * theta) / 2, math.exp(-2 * t * theta) / 2
     out = np.empty_like(y)
-    for blk in _row_blocks(len(y), len(s) + len(p)):
-        yy = y[blk, None]
-        r = np.hypot(yy, p)
-        phase = 2 * t * np.arcsinh(p / yy)
-        horizontal = (np.cos(r * cos_th) * np.cos(phase) * ch
-                      + np.sin(r * cos_th) * np.sin(phase) * sh) / r
-        out[blk] = (2 / math.pi) * (np.sin(yy * np.cos(s)) @ vertical - horizontal @ envelope)
+    for band in _bands(y):
+        yb = y[band]
+        p, wp = _radial_nodes(2 * t, yb.min() / 4, _DECAY / sin_th)
+        n_vert = math.ceil((yb.max() * (1 - cos_th) + 2 * t * theta) / _PANEL_PHASE)
+        s, ws = gauss_legendre_nodes(np.linspace(0.0, theta, n_vert + 1))
+        cos_s, vertical = np.cos(s), np.cosh(2 * t * s) * ws
+        p_sq, envelope = p * p, np.exp(-p * sin_th) * wp
+        tiny = yb.min() < 1e-150  # where y^2 would underflow
+        for blk in _row_blocks(len(yb), len(s) + len(p)):
+            yy = yb[blk, None]
+            r = np.hypot(yy, p) if tiny else np.sqrt(yy * yy + p_sq)
+            a, phase = r * cos_th, 2 * t * np.arcsinh(p / yy)
+            horizontal = (grow * np.cos(a - phase) + shrink * np.cos(a + phase)) / r
+            out[band[blk]] = (2 / math.pi) * ((np.sin(yy * cos_s) * vertical).sum(axis=1)
+                                              - (horizontal * envelope).sum(axis=1))
     return out
 
 
@@ -209,16 +232,22 @@ def k_imag_scaled(t: float, y) -> np.ndarray:
     cap = math.pi / 2 - 1 / t if t > 2 / math.pi else 0.0
     theta = np.minimum(np.arcsin(np.minimum(1.0, t / y)), cap)
     cos_th, sin_th = np.cos(theta), np.sin(theta)
-    # e^{-cos theta (R - y)} falls to e^-_DECAY at R = y + _DECAY / cos theta
-    p_max = float(np.max(np.sqrt(_DECAY / cos_th * (2 * y + _DECAY / cos_th))))
-    p, wp = _radial_nodes(t, y.min() / 4, p_max)
     log_cosh = math.pi * t / 2 + math.log1p(math.exp(-math.pi * t)) - math.log(2)
-    out = np.empty_like(y)
-    for blk in _row_blocks(len(y), len(p)):
-        yy, cc, ss = y[blk, None], cos_th[blk, None], sin_th[blk, None]
-        r = np.hypot(yy, p)
-        f = np.exp(-cc * p * p / (r + yy)) * np.cos(t * np.arcsinh(p / yy) - p * ss) / r
-        out[blk] = np.exp(log_cosh - y[blk] * cos_th[blk] - t * theta[blk]) * (f @ wp)
+    scale = np.exp(log_cosh - y * cos_th - t * theta)
+    out = np.zeros_like(y)
+    live = np.flatnonzero(scale)  # where the factor underflows, K is 0 whatever the integral
+    for band in _bands(y[live]):
+        rows = live[band]
+        # e^{-cos theta (R - y)} falls to e^-_DECAY at R = y + _DECAY / cos theta
+        reach = _DECAY / cos_th[rows]
+        p_max = float(np.max(np.sqrt(reach * (2 * y[rows] + reach))))
+        p, wp = _radial_nodes(t, y[rows].min() / 4, p_max)
+        for blk in _row_blocks(len(rows), len(p)):
+            i = rows[blk]
+            yy, cc, ss = y[i, None], cos_th[i, None], sin_th[i, None]
+            r = np.hypot(yy, p)  # y^2 + p^2 would underflow at tiny y
+            f = np.exp(-cc * p * p / (r + yy)) * np.cos(t * np.arcsinh(p / yy) - p * ss) / r
+            out[i] = scale[i] * (f * wp).sum(axis=1)
     return out
 
 
@@ -306,6 +335,15 @@ _FAMILY = {"J": special.jv, "Y": special.yv, "K": special.kv}
 _IBP_PANELS = 16
 
 
+@functools.lru_cache(maxsize=8)
+def _ibp_samples(g, a: float, b: float, panels: int):
+    """Weights, sqrt of the nodes, g and its central difference (step 1e-6) on
+    `panels` equal panels of [a, b], shared by every check of one pure g."""
+    y, w = gauss_legendre_panels(a, b, (b - a) / panels)
+    return read_only(w, np.sqrt(y), np.array([g(v) for v in y]),
+                     np.array([(g(v + 1e-6) - g(v - 1e-6)) / 2e-6 for v in y]))
+
+
 def check_ibp_identity(g, g_support: tuple[float, float], r: float, alpha: float,
                        family: str) -> dict:
     """Both sides of
@@ -320,11 +358,7 @@ def check_ibp_identity(g, g_support: tuple[float, float], r: float, alpha: float
     if family not in _FAMILY:
         raise ValueError(f"family must be J, Y or K, got {family!r}")
     bes = _FAMILY[family]
-    a, b = g_support
-    y, w = gauss_legendre_panels(a, b, (b - a) / _IBP_PANELS)
-    root = np.sqrt(y)
-    gy = np.array([g(v) for v in y])
-    dg = np.array([(g(v + 1e-6) - g(v - 1e-6)) / 2e-6 for v in y])
+    w, root, gy, dg = _ibp_samples(g, *g_support, _IBP_PANELS)
     lhs = float((w * gy * bes(r, alpha * root)).sum())
     rhs = float((w * (dg * root - r / 2 * gy / root) * bes(r + 1, alpha * root)).sum())
     rhs *= _IBP_SIGN[family] * 2 / alpha
@@ -385,14 +419,9 @@ def fit_whittaker_shape(params, y_factors) -> dict:
         for fac in y_factors:
             y = fac * ts
             h = max(1e-4 * y, 1e-6)
-            for j in (0, 1, 2):
-                if j == 0:
-                    d = whittaker_weight(param, y)
-                elif j == 1:
-                    d = (whittaker_weight(param, y + h) - whittaker_weight(param, y - h)) / (2 * h)
-                else:
-                    d = (whittaker_weight(param, y + h) - 2 * whittaker_weight(param, y)
-                         + whittaker_weight(param, y - h)) / (h * h)
+            lo, mid, hi = (whittaker_weight(param, v) for v in (y - h, y, y + h))
+            derivatives = (mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h))
+            for j, d in enumerate(derivatives):
                 bound = math.sqrt(ts) * (ts / y) ** (j + 0.1) * (1 + y / ts) ** -3.0
                 ratio = abs(d) / bound
                 if ratio > worst:

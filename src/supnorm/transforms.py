@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .arithmetic import THETA
-from .specfun import gauss_legendre_panels, y_pair_ratio
+from .specfun import gauss_legendre_panels, read_only, y_pair_ratio
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,6 @@ _Y_MIN = 1e-3
 _Y_MAX = 1e4
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.cache
 def _grid():
     """Node/weight grid for int_0^inf, cut to [_Y_MIN, _Y_MAX].  Imaginary-order
@@ -140,18 +135,17 @@ def _grid():
     u, wu = gauss_legendre_panels(math.log(_Y_MIN), math.log(2 * math.pi), 0.25)
     y_log = np.exp(u)
     y_lin, w_lin = gauss_legendre_panels(2 * math.pi, _Y_MAX, 2 * math.pi)
-    return (_read_only(np.concatenate([y_log, y_lin])),
-            _read_only(np.concatenate([wu * y_log, w_lin])))
+    return read_only(np.concatenate([y_log, y_lin]), np.concatenate([wu * y_log, w_lin]))
 
 
 @functools.cache
 def _bessel_j_on_grid(order: int) -> np.ndarray:
-    return _read_only(special.jv(order, _grid()[0]))
+    return read_only(special.jv(order, _grid()[0]))[0]
 
 
 @functools.cache
 def _imj_ratio_on_grid(t: float) -> np.ndarray:
-    return _read_only(y_pair_ratio(t, _grid()[0]))
+    return read_only(y_pair_ratio(t, _grid()[0]))[0]
 
 
 def _quadrature(kernel: np.ndarray, tf: TestFunction) -> float:

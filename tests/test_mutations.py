@@ -54,6 +54,11 @@ FAULTS = {
     "pair factor 2 dropped in kloosterman_sum": (
         "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
         "return complex(2 * half)", "return complex(half)"),
+    # the random moduli reach c <= 2 rarely (never at seed 0); the sweep's
+    # fixed draws at c = 1 and c = 2 meet the closed form there
+    "c <= 2 returns 0 in kloosterman_sum": (
+        "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
+        "return complex((-1) ** ((m + n) % c))", "return 0j"),
 }
 
 

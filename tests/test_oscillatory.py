@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supnorm import oscillatory
+from supnorm import oscillatory, verify
 from supnorm.arithmetic import RationalApproximation, dirichlet_approximate
 from supnorm.oscillatory import DyadicPartition, SmoothWindow, distance_to_nearest_integer
 from supnorm.specfun import ArchimedeanParameter
@@ -161,3 +161,27 @@ def test_lemma6_bounds():
     assert val > 0
     with pytest.raises(ValueError):
         oscillatory.lemma6_bound2(4.0, 2.0, 10.0, 0.1, 1)  # hypothesis fails
+
+
+def test_kernel_sweep_evaluates_each_kernel_once(monkeypatch):
+    # nodes and kernel depend on (Z, param, sign, alpha), not on T: the sweep's
+    # 4 params x 2 Z x 3 alpha x 2 signs = 48 kernels serve its 96 integrals
+    kernel, cached, calls = oscillatory.voronoi_kernel_values, oscillatory._kernel_on_panels, []
+    monkeypatch.setattr(oscillatory, "voronoi_kernel_values",
+                        lambda *args: calls.append(args) or kernel(*args))
+    cached.cache_clear()
+    shared = verify.sweep_kernel_integrals()
+    assert len(calls) == 48
+    # the per-call path builds nodes and kernel for every integral
+    monkeypatch.setattr(oscillatory, "_kernel_on_panels", cached.__wrapped__)
+    assert verify.sweep_kernel_integrals() == shared
+    assert len(calls) == 48 + 96
+    cached.cache_clear()
+
+
+def test_cached_kernel_arrays_are_read_only():
+    param = ArchimedeanParameter.maass(1.0)
+    oscillatory.voronoi_integral(SmoothWindow(16.0, 8.0), param, "+", 1.0)
+    for arr in oscillatory._kernel_on_panels(16.0, param, "+", 1.0):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0

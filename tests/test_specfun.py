@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -76,6 +78,42 @@ def test_y_pair_ratio_against_mpmath(t):
     assert np.max(np.abs(ours - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [20.0, 30.0, 40.0])
+@pytest.mark.parametrize("y", [500.0, 1000.0])
+def test_y_pair_ratio_at_a_single_large_point_against_mpmath(t, y):
+    # alone, y is the smallest point of its band, so the first radial panel
+    # needs the phase cap: as [0, y/16] it erred by 5.1e-7 at (30, 1000)
+    ours = float(specfun.y_pair_ratio(t, [y])[0])
+    with mp.workdps(30 + int(3 * t)):
+        ref = float(mp.besselj(2j * mp.mpf(t), mp.mpf(y)).imag / mp.sinh(mp.pi * t))
+    assert abs(ours - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("t, y", [(0.0, 1e-300), (3.0, 1e-200), (0.3, 1e-155)])
+def test_y_pair_ratio_where_y_squared_underflows(t, y):
+    # below y = 1e-150 a band takes np.hypot, since y^2 + p^2 would underflow to 0
+    ours = float(specfun.y_pair_ratio(t, [y])[0])
+    with mp.workdps(40):
+        ref = (mp.bessely(0, mp.mpf(y)) if t == 0
+               else mp.besselj(2j * mp.mpf(t), mp.mpf(y)).imag / mp.sinh(mp.pi * t))
+    assert ours == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_k_imag_scaled_is_zero_where_its_factor_underflows():
+    # e^{-y cos theta} underflows there, so the value is 0 and no nodes are
+    # built; at 1e10 they would run past _MAX_PANELS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = specfun.k_imag_scaled(1.0, [2.0, 1e10, 1e300, math.inf])
+    assert values[0] > 0 and list(values[1:]) == [0.0, 0.0, 0.0]
+
+
+def test_bands_split_at_powers_of_four():
+    y = np.array([4.0, 0.25, 3.999, 1.0, 16.0, 0.2499, 1e-3])
+    bands = [sorted(y[i]) for i in specfun._bands(y)]
+    assert bands == [[1e-3], [0.2499], [0.25], [1.0, 3.999], [4.0], [16.0]]
+
+
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
 def test_k_imag_scaled_against_mpmath(t):
     # relative accuracy where K decays (down to e^-700 at y = 700), absolute
@@ -103,6 +141,16 @@ def test_imaginary_order_evaluators_do_not_depend_on_blocking(monkeypatch):
     blocked = specfun.y_pair_ratio(2.0, y), specfun.k_imag_scaled(3.0, y)
     for a, b in zip(whole, blocked):
         assert b == pytest.approx(a, rel=1e-14, abs=1e-16)
+
+
+def test_imaginary_order_row_sums_do_not_depend_on_blocking(monkeypatch):
+    # each row is summed by numpy's own reduction over that row alone
+    y = np.geomspace(1e-3, 140, 70)
+    whole = specfun.y_pair_ratio(0.5, y), specfun.k_imag_scaled(7.0, y)
+    monkeypatch.setattr(specfun, "_BLOCK", 300)
+    blocked = specfun.y_pair_ratio(0.5, y), specfun.k_imag_scaled(7.0, y)
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
 
 
 def test_imaginary_order_evaluators_reject_nonpositive():
@@ -242,6 +290,51 @@ def test_bessel_j_shape_constant():
 def test_bessel_k_shape_constant():
     rep = specfun.fit_bessel_k_shape((0.0, 1.0, 4.0), np.geomspace(0.1, 40, 40))
     assert rep["constant"] < 50.0
+
+
+def _whittaker_shape_per_call(params, y_factors):
+    """`fit_whittaker_shape` with each derivative from its own weights."""
+    worst, worst_at = 0.0, None
+    for param in params:
+        ts = param.t_star
+        for fac in y_factors:
+            y = fac * ts
+            h = max(1e-4 * y, 1e-6)
+            w = functools.partial(specfun.whittaker_weight, param)
+            derivatives = (w(y), (w(y + h) - w(y - h)) / (2 * h),
+                           (w(y + h) - 2 * w(y) + w(y - h)) / (h * h))
+            for j, d in enumerate(derivatives):
+                ratio = abs(d) / (math.sqrt(ts) * (ts / y) ** (j + 0.1) * (1 + y / ts) ** -3.0)
+                if ratio > worst:
+                    worst, worst_at = ratio, (param.kind, param.k or param.t, fac, j)
+    return {"constant": worst, "worst_point": worst_at}
+
+
+def test_whittaker_fit_evaluates_each_weight_once(monkeypatch):
+    params = [ArchimedeanParameter.holomorphic(4), ArchimedeanParameter.maass(0.0),
+              ArchimedeanParameter.maass(5.0)]
+    factors = (0.1, 1.0, 5.0)
+    expected = _whittaker_shape_per_call(params, factors)
+    weight, calls = specfun.whittaker_weight, []
+    monkeypatch.setattr(specfun, "whittaker_weight",
+                        lambda param, y: calls.append((param, y)) or weight(param, y))
+    assert specfun.fit_whittaker_shape(params, factors) == expected
+    assert len(calls) == 3 * len(params) * len(factors)
+
+
+def test_ibp_checks_of_one_weight_share_its_samples():
+    calls = []
+
+    def g(y):
+        calls.append(y)
+        return _bump(y)
+
+    grid = [(r, alpha, family) for family in "JYK" for r in (0.0, 1.0, 2.0) for alpha in (1.0, 2.0)]
+    shared = [specfun.check_ibp_identity(g, (1.0, 4.0), *point) for point in grid]
+    # g, g(y + 1e-6) and g(y - 1e-6) at the 256 nodes of 16 panels, once
+    assert len(calls) == 3 * 16 * 16
+    # a second weight function is sampled afresh and gives the same bits
+    assert shared == [specfun.check_ibp_identity(_bump, (1.0, 4.0), *point) for point in grid]
 
 
 def test_whittaker_shape_constant():
