@@ -23,32 +23,24 @@ class HeckeSystem:
     def __init__(self, chi: DirichletCharacter, prime_values: dict[int, complex]):
         self.chi = chi
         self.prime_values = dict(prime_values)
-        self._cache: dict[int, complex] = {1: 1.0}
 
     def _power(self, p: int, k: int) -> complex:
         if k == 0:
             return 1.0
         if p not in self.prime_values:
             raise ValueError(f"no eigenvalue assigned at prime {p}")
-        key = p ** k
-        if key in self._cache:
-            return self._cache[key]
         lam_p = self.prime_values[p]
         prev2, prev1 = 1.0, lam_p
         for _ in range(k - 1):
             prev2, prev1 = prev1, lam_p * prev1 - self.chi(p) * prev2
-        self._cache[key] = prev1
         return prev1
 
     def eigenvalue(self, n: int) -> complex:
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        if n in self._cache:
-            return self._cache[n]
         val = 1.0 + 0j
         for p, k in factorint(n).items():
             val *= self._power(p, k)
-        self._cache[n] = val
         return val
 
 

@@ -157,10 +157,7 @@ def primitive_root(p: int) -> int:
 
 def e(x) -> complex:
     """exp(2*pi*i*x), with exact rational reduction mod 1 when x is a Fraction."""
-    if isinstance(x, Fraction):
-        x = x - math.floor(x)
-        return cmath.exp(2j * math.pi * float(x))
-    return cmath.exp(2j * math.pi * (x - math.floor(x)))
+    return cmath.exp(2j * math.pi * float(x - math.floor(x)))
 
 
 @dataclass(frozen=True)
@@ -266,26 +263,15 @@ class DirichletCharacter:
 
     def is_even(self) -> bool:
         """chi(-1) == 1; -1 has index (p-1)/2 at every odd prime component."""
-        s = sum(self.component_exponents.get(p, 0) for p in self.modulus.prime_factors if p != 2)
-        return s % 2 == 0
+        return sum(m for _, m in self._components()) % 2 == 0
 
 
 def enumerate_characters(n: int):
     """All Dirichlet characters mod square-free n."""
     mod = SquarefreeModulus.from_int(n)
     odd_primes = [p for p in mod.prime_factors if p != 2]
-
-    def rec(i, exps):
-        if i == len(odd_primes):
-            yield DirichletCharacter(mod, dict(exps))
-            return
-        p = odd_primes[i]
-        for m in range(p - 1):
-            exps[p] = m
-            yield from rec(i + 1, exps)
-        del exps[p]
-
-    yield from rec(0, {})
+    for exps in itertools.product(*(range(p - 1) for p in odd_primes)):
+        yield DirichletCharacter(mod, dict(zip(odd_primes, exps)))
 
 
 @functools.lru_cache(maxsize=16)

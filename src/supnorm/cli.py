@@ -315,47 +315,37 @@ def count_cmd():
     """Lattice-point and matrix counts with their envelope ratios."""
 
 
-_count_params = [
-    click.option("--c-scale", "--C", "c_scale", type=int, required=True),
-    click.option("--s", "--S", "s", type=int, required=True),
-    click.option("--r", "--R", "r", type=int, required=True),
-    click.option("--r-tilde", type=int, required=True),
-    click.option("--d1", type=int, default=1),
-    click.option("--d2", type=int, default=1),
-    click.option("--u", type=int, required=True),
-    click.option("--n-level", "--N", "n_level", type=int, required=True),
-    click.option("--h-cap", "--H", "h_cap", type=float, default=None,
-                 help="Denominator cap for the rational approximation (default N)."),
-    click.option("--emit-elements", is_flag=True),
-]
+@click.command()
+@click.option("--c-scale", "--C", "c_scale", type=int, required=True)
+@click.option("--s", "--S", "s", type=int, required=True)
+@click.option("--r", "--R", "r", type=int, required=True)
+@click.option("--r-tilde", type=int, required=True)
+@click.option("--d1", type=int, default=1)
+@click.option("--d2", type=int, default=1)
+@click.option("--u", type=int, required=True)
+@click.option("--n-level", "--N", "n_level", type=int, required=True)
+@click.option("--h-cap", "--H", "h_cap", type=float, default=None,
+              help="Denominator cap for the rational approximation (default N).")
+@click.option("--emit-elements", is_flag=True)
+@output_option
+@click.pass_context
+@_bad_input()
+def count_a_cmd(ctx, c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap, emit_elements, output):
+    """Congruence box quadruples; `count Asq` keeps those with s c - r1 r2 a square."""
+    which = "square" if ctx.info_name == "Asq" else "plain"
+    inst = counting.CountingInstance(C=c_scale, S=s, R=r, R_tilde=r_tilde, d1=d1, d2=d2,
+                                     u=u, N=SquarefreeModulus.from_int(n_level), H=h_cap)
+    plain = counting.enumerate_A(inst)
+    rep = counting.lemma10_bound_check(inst, which, plain)
+    out = {"count": rep["count"], "bound": rep["bound"], "ratio": rep["ratio"]}
+    if emit_elements:
+        out["elements"] = (plain if which == "plain"
+                           else counting.enumerate_A_square(inst, plain))
+    _emit(out, output)
 
 
-def _apply(options, fn):
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
-
-
-def _make_count_command(name: str, which: str):
-    @output_option
-    @_bad_input()
-    def cmd(c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap, emit_elements, output):
-        inst = counting.CountingInstance(C=c_scale, S=s, R=r, R_tilde=r_tilde, d1=d1, d2=d2,
-                                         u=u, N=SquarefreeModulus.from_int(n_level), H=h_cap)
-        plain = counting.enumerate_A(inst)
-        rep = counting.lemma10_bound_check(inst, which, plain)
-        out = {"count": rep["count"], "bound": rep["bound"], "ratio": rep["ratio"]}
-        if emit_elements:
-            out["elements"] = (plain if which == "plain"
-                               else counting.enumerate_A_square(inst, plain))
-        _emit(out, output)
-
-    cmd.__name__ = f"count_{name}"
-    return count_cmd.command(name)(_apply(_count_params, cmd))
-
-
-_make_count_command("A", "plain")
-_make_count_command("Asq", "square")
+count_cmd.add_command(count_a_cmd, "A")
+count_cmd.add_command(count_a_cmd, "Asq")
 
 
 @count_cmd.command("matrices")

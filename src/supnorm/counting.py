@@ -86,7 +86,6 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n, u, sf = inst.N.value, inst.u, math.floor(inst.S)
     c_axis = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
-    c_axis = c_axis[(c_axis >= inst.C) & (c_axis < 2 * inst.C)]
     r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1)
     r2 = np.arange(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1)
     exact = object if n >= 2 ** 31 else np.int64
@@ -123,8 +122,7 @@ def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n, u = inst.N.value, inst.u
     exact = object if n >= 2 ** 31 else np.int64
-    c = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
-    c = c[(c >= inst.C) & (c < 2 * inst.C)].astype(exact)
+    c = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C)).astype(exact)
     s = np.arange(-math.floor(inst.S), math.floor(inst.S) + 1).astype(exact)
     r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1).astype(exact)
     r2 = np.arange(-math.floor(inst.R_tilde), math.floor(inst.R_tilde) + 1).astype(exact)

@@ -20,10 +20,6 @@ SYMBOLS = ("N", "t_star", "Z", "L", "H", "q")
 F = Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class Monomial:
     """N^a (t*)^b Z^c L^d H^e q^f with exact rational exponents; zero exponents
@@ -37,7 +33,7 @@ class Monomial:
         for sym, val in exps.items():
             if sym not in SYMBOLS:
                 raise ValueError(f"unknown symbol {sym!r}")
-            val = _frac(val)
+            val = Fraction(val)
             if val != 0:
                 clean.append((sym, val))
         return cls(exponents=tuple(sorted(clean)))
@@ -59,7 +55,7 @@ class Monomial:
         return Monomial.of(**exps)
 
     def __pow__(self, r) -> "Monomial":
-        r = _frac(r)
+        r = Fraction(r)
         return Monomial.of(**{s: v * r for s, v in self.exponents})
 
     def substitute(self, mapping: dict) -> "Monomial":
@@ -99,7 +95,7 @@ def assemble_bound1(theta: Fraction = THETA) -> Bound:
     """(t*)^5 L^(theta/2) ( t* Z^(1/4) L^(7/8) H^(1/2) / N^(3/4)
     + (t* L Z)^(1/2) / (q N)^(1/2) + Z^(1/2) L^(-1/4) / N^(1/2) )
     + (t*)^(9/2) L^(-1/2)."""
-    theta = _frac(theta)
+    theta = Fraction(theta)
     pre = Monomial.of(t_star=5, L=theta / 2)
     t1 = pre * Monomial.of(t_star=1, Z=F(1, 4), L=F(7, 8), H=F(1, 2), N=F(-3, 4))
     t2 = pre * Monomial.of(t_star=F(1, 2), L=F(1, 2), Z=F(1, 2), q=F(-1, 2), N=F(-1, 2))
@@ -121,7 +117,7 @@ def second_moment_bound(theta: Fraction = THETA) -> Bound:
     """Diagonal term t* L plus the off-diagonal
     (t*)^2 L^theta ( (t*)^2 Z^(1/2) L^(15/4) H / N^(3/2) + t* L^3 Z / (q N)
     + Z L^(3/2) / N )."""
-    theta = _frac(theta)
+    theta = Fraction(theta)
     diag = Monomial.of(t_star=1, L=1)
     pre = Monomial.of(t_star=2, L=theta)
     t1 = pre * Monomial.of(t_star=2, Z=F(1, 2), L=F(15, 4), H=1, N=F(-3, 2))

@@ -13,10 +13,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .arithmetic import ResourceLimitError
 from .specfun import (ArchimedeanParameter, gauss_legendre_panels, read_only,
                       voronoi_kernel_values)
 
@@ -82,8 +82,7 @@ class DyadicPartition:
         num = self.bump(x)
         den = np.zeros_like(num)
         # psi(x/2^k) is nonzero only for k within 1 of log2(x)
-        with np.errstate(divide="ignore"):
-            base = np.where(x > 0, np.log2(np.maximum(x, 1e-300)), 0.0)
+        base = np.where(x > 0, np.log2(np.maximum(x, 1e-300)), 0.0)
         for k_off in (-1, 0, 1):
             k = np.floor(base).astype(int) + k_off
             den += self.bump(x / np.exp2(k))
@@ -103,19 +102,20 @@ class DyadicPartition:
 
 
 def distance_to_nearest_integer(alpha) -> float:
-    if isinstance(alpha, Fraction):
-        r = alpha - round(alpha)
-        return abs(float(r))
-    return abs(alpha - round(alpha))
+    return abs(float(alpha - round(alpha)))
 
 
 # ---------------------------------------------------------------------------
 # exponential-sum decay (Poisson)
 # ---------------------------------------------------------------------------
 
+_MAX_TERMS = 2 ** 22  # integers in one window sum; about 50 bytes each at peak
+
+
 def lemma4_decay_check(w: SmoothWindow, alpha, j: int = 2) -> dict:
     """|sum_m e(alpha m) window(m)| against Z (T ||alpha||)^{-j}; the sum is
-    finite because the window has compact support."""
+    finite because the window has compact support.  Raises ResourceLimitError
+    when the support spans _MAX_TERMS or more, before any array is built."""
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
     if not math.isfinite(alpha):
@@ -124,6 +124,8 @@ def lemma4_decay_check(w: SmoothWindow, alpha, j: int = 2) -> dict:
     if norm == 0:
         raise ValueError("alpha must not be an integer")
     lo, hi = w.support
+    if not hi - lo < _MAX_TERMS:
+        raise ResourceLimitError(f"window [{lo:g}, {hi:g}] exceeds cap {_MAX_TERMS} integers")
     m = np.arange(math.ceil(lo), math.floor(hi) + 1)
     phases = 2 * math.pi * ((float(alpha) * m) % 1.0)
     vals = w(m.astype(float))
@@ -137,11 +139,11 @@ def lemma4_decay_check(w: SmoothWindow, alpha, j: int = 2) -> dict:
     }
 
 
-def lemma4_t_sweep(Z: float, alpha, j: int, t_values) -> dict:
-    """Log-log slope of |sum| against T at fixed Z, alpha; decays like T^-j."""
+def lemma4_t_sweep(Z: float, alpha, t_values) -> dict:
+    """Log-log slope of |sum| against T at fixed Z, alpha; decays like T^-j for every j."""
     sums = []
     for T in t_values:
-        sums.append(max(lemma4_decay_check(SmoothWindow(Z, T), alpha, j)["sum_abs"], 1e-300))
+        sums.append(max(lemma4_decay_check(SmoothWindow(Z, T), alpha)["sum_abs"], 1e-300))
     logt = np.log(np.asarray(t_values, dtype=float))
     logs = np.log(np.asarray(sums))
     slope = float(np.polyfit(logt, logs, 1)[0])
@@ -167,8 +169,8 @@ def voronoi_integral(w: SmoothWindow, param: ArchimedeanParameter, sign: str,
     """I = int g(xi) kernel(alpha sqrt(xi)) dxi over the window's support, on
     `specfun.gauss_legendre_panels` in v = sqrt(xi) sized to the oscillation;
     the sum is numpy's own reduction, like `transforms._quadrature`."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     v, weights, kern = _kernel_on_panels(w.Z, param, sign, alpha)
     return float((weights * w(v * v) * kern * 2 * v).sum())
 

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .arithmetic import ResourceLimitError
+
 
 # ---------------------------------------------------------------------------
 # archimedean parameter
@@ -105,8 +107,12 @@ def gauss_legendre_nodes(edges):
 
 def gauss_legendre_panels(lo: float, hi: float, length: float):
     """`gauss_legendre_nodes` on the fewest equal panels of [lo, hi] no longer
-    than `length`."""
-    return gauss_legendre_nodes(np.linspace(lo, hi, math.ceil((hi - lo) / length) + 1))
+    than `length`.  Raises ResourceLimitError past _MAX_PANELS panels, a
+    non-finite count included, before any node array is built."""
+    panels = (hi - lo) / length
+    if not panels <= _MAX_PANELS:
+        raise ResourceLimitError(f"{panels:.3g} panels on [{lo:g}, {hi:g}] exceed cap {_MAX_PANELS}")
+    return gauss_legendre_nodes(np.linspace(lo, hi, math.ceil(panels) + 1))
 
 
 def _radial_nodes(omega: float, p_min: float, p_max: float):
@@ -146,9 +152,10 @@ def _row_blocks(n_rows: int, n_nodes: int):
 
 def _positive_array(y) -> np.ndarray:
     y = np.asarray(y, dtype=float).reshape(-1)
-    bad = ~(y > 0)
+    bad = ~((y > 0) & (y < math.inf))
     if bad.any():
-        raise ValueError(f"argument must be positive, got {y[bad][0]}")
+        v = y[bad][0]
+        raise ValueError(f"argument must be {'finite' if v > 0 else 'positive'}, got {v}")
     return y
 
 
@@ -274,8 +281,8 @@ def bessel_y_imag_pair(t: float, y: float) -> float:
 
 
 def whittaker_weight(param: ArchimedeanParameter, y: float) -> float:
-    if y <= 0:
-        raise ValueError(f"argument must be positive, got {y}")
+    if not 0 < y < math.inf:
+        raise ValueError(f"argument must be {'finite' if y > 0 else 'positive'}, got {y}")
     if param.kind == "holomorphic":
         k = param.k
         # log-domain: Gamma(k)^{-1/2} (4 pi y)^{k/2} e^{-2 pi y}
@@ -366,47 +373,39 @@ def check_ibp_identity(g, g_support: tuple[float, float], r: float, alpha: float
     return {"lhs": lhs, "rhs": rhs, "rel_error": abs(lhs - rhs) / scale}
 
 
+def _fit_shape(params, y_grid, value, bound) -> dict:
+    """The largest |value(a, y)| / bound(a, y) over a in `params` and y on the
+    grid, and the (a, y) that attains it."""
+    y = np.asarray(list(y_grid), dtype=float)
+    worst, worst_at = -math.inf, None
+    for a in params:
+        ratios = np.abs(value(a, y)) / bound(a, y)
+        i = int(np.argmax(ratios))
+        if ratios[i] > worst:
+            worst, worst_at = float(ratios[i]), (a, float(y[i]))
+    return {"constant": worst, "worst_point": worst_at}
+
+
 def check_kbessel_transition_bound(t: float, w_grid) -> dict:
     """cosh(pi t/2) K_{it}(w) against min(t^{-1/3}, |w^2 - t^2|^{-1/4}), t >= 2."""
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    w = np.asarray(list(w_grid), dtype=float)
-    gap = np.abs(w * w - t * t)
-    with np.errstate(divide="ignore"):
-        bound = np.minimum(t ** (-1 / 3), gap ** (-0.25))
-    ratios = np.abs(k_imag_scaled(t, w)) / bound
-    i = int(np.argmax(ratios))
-    return {"t": t, "constant": float(ratios[i]), "worst_w": float(w[i])}
+    with np.errstate(divide="ignore"):  # w = t is on the grid
+        fit = _fit_shape([t], w_grid, k_imag_scaled,
+                         lambda t, w: np.minimum(t ** (-1 / 3), np.abs(w * w - t * t) ** -0.25))
+    return {"t": t, "constant": fit["constant"], "worst_w": fit["worst_point"][1]}
 
 
 def fit_bessel_j_shape(orders, y_grid) -> dict:
     """Fitted constant for |J_k(y)| <= C (1+k) / (1+sqrt(y))."""
-    y = np.asarray(list(y_grid), dtype=float)
-    worst = 0.0
-    worst_at = None
-    for k in orders:
-        vals = np.abs(special.jv(k, y))
-        bound = (1 + k) / (1 + np.sqrt(y))
-        ratios = vals / bound
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst:
-            worst, worst_at = float(ratios[i]), (k, float(y[i]))
-    return {"constant": worst, "worst_point": worst_at}
+    return _fit_shape(orders, y_grid, special.jv, lambda k, y: (1 + k) / (1 + np.sqrt(y)))
 
 
 def fit_bessel_k_shape(ts, y_grid) -> dict:
     """Fitted constant for cosh(pi t/2)|K_{it}(y)| <= C ((1+t)/y)^eps (1 + y/(1+t))^{-A},
     eps = 0.1 and A = 3."""
-    y = np.asarray(list(y_grid), dtype=float)
-    worst = 0.0
-    worst_at = None
-    for t in ts:
-        bound = ((1 + t) / y) ** 0.1 * (1 + y / (1 + t)) ** -3.0
-        ratios = np.abs(k_imag_scaled(t, y)) / bound
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst:
-            worst, worst_at = float(ratios[i]), (t, float(y[i]))
-    return {"constant": worst, "worst_point": worst_at}
+    return _fit_shape(ts, y_grid, k_imag_scaled,
+                      lambda t, y: ((1 + t) / y) ** 0.1 * (1 + y / (1 + t)) ** -3.0)
 
 
 def fit_whittaker_shape(params, y_factors) -> dict:

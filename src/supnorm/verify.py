@@ -297,16 +297,14 @@ def sweep_lemma4() -> dict:
     for nu in range(8, 15):
         z = float(2 ** nu)
         for alpha in LEMMA4_ALPHAS:
+            t_scale = max(4.0 / oscillatory.distance_to_nearest_integer(alpha), 1.0)
+            w = oscillatory.SmoothWindow(z, min(t_scale, z))
             for j in (2, 3):
-                w = oscillatory.SmoothWindow(z, max(4.0 / oscillatory.distance_to_nearest_integer(alpha), 1.0))
-                w = oscillatory.SmoothWindow(z, min(w.T, z))
                 rep = oscillatory.lemma4_decay_check(w, alpha, j)
                 constants[j] = max(constants[j], rep["ratio"])
-    slopes = {}
-    for j in (2, 3):
-        sw = oscillatory.lemma4_t_sweep(4096.0, 0.3, j, [8, 16, 32])
-        slopes[j] = sw["slope"]
-    return {"C2": constants[2], "C3": constants[3], "slopes": slopes}
+    # one |sum| against T: the slope is the same figure for every j
+    slope = oscillatory.lemma4_t_sweep(4096.0, 0.3, [8, 16, 32])["slope"]
+    return {"C2": constants[2], "C3": constants[3], "slopes": {2: slope, 3: slope}}
 
 
 def sweep_kernel_integrals() -> dict:

@@ -6,12 +6,15 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import supnorm
+from supnorm import counting
+from supnorm.arithmetic import SquarefreeModulus
 from supnorm.cli import main
 
 
@@ -90,6 +93,32 @@ def test_count_a_with_elements(runner):
     assert rep["elements"] == [[1, 0, 0, 0]]
 
 
+def test_count_asq_is_the_square_subset(runner):
+    args = ["--C", "4", "--S", "3", "--R", "3", "--r-tilde", "3", "--u", "2", "--N", "7",
+            "--emit-elements"]
+    inst = counting.CountingInstance(C=4, S=3, R=3, R_tilde=3, d1=1, d2=1, u=2,
+                                     N=SquarefreeModulus.from_int(7))
+    plain = counting.enumerate_A(inst)
+    square = counting.enumerate_A_square(inst, plain)
+    assert 0 < len(square) < len(plain)
+    for name, expected in (("A", plain), ("Asq", square)):
+        res = runner.invoke(main, ["count", name, *args])
+        assert res.exit_code == 0
+        rep = json.loads(res.output)
+        assert rep["count"] == len(expected)
+        assert rep["elements"] == [list(q) for q in expected]
+
+
+def test_count_a_and_asq_take_the_same_options(runner):
+    def options(name):
+        res = runner.invoke(main, ["count", name, "--help"])
+        assert res.exit_code == 0 and f"count {name} [OPTIONS]" in res.output
+        return [line.split()[0] for line in res.output.splitlines()
+                if line.startswith("  --")]
+    assert options("A") == options("Asq")
+    assert "--emit-elements" in options("A")
+
+
 def test_count_matrices_resource_cap(runner):
     res = runner.invoke(main, ["count", "matrices", "--x", "0", "--y", "0.001",
                                "--n", "20", "--n-level", "1", "--delta", "1e9"])
@@ -109,6 +138,29 @@ def test_count_resource_cap(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert "exceeds cap" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["decay", "--z", "1e12", "--t", "8", "--alpha", "0.3"],
+    ["decay", "--z", "1e308", "--t", "8", "--alpha", "0.3"],
+    ["vintegral", "--kind", "maass", "--t", "2", "--z", "1e20", "--t-scale", "8",
+     "--alpha", "1"],
+    ["vintegral", "--kind", "maass", "--t", "2", "--z", "1e308", "--t-scale", "8",
+     "--alpha", "1"],
+    ["vintegral", "--kind", "maass", "--t", "2", "--z", "32", "--t-scale", "8",
+     "--alpha", "1e300"],
+])
+def test_analytic_resource_cap_comes_before_any_allocation(runner, args):
+    import supnorm.oscillatory  # noqa: F401  (its imports are not the command's work)
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 3
+    assert "exceeds cap" in res.output or "exceed cap" in res.output
+    assert peak < 2 ** 20
 
 
 def test_count_reduce(runner):
@@ -263,6 +315,20 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
     # H is checked when the instance is built, before the box volume cap (exit 3)
     (["count", "A", "--C", "10000", "--S", "1000", "--R", "1000", "--r-tilde", "1000",
       "--u", "3", "--N", "7", "--H", "0.5"], "need finite H >= 1, got 0.5"),
+    (["vintegral", "--kind", "maass", "--t", "2", "--z", "32", "--t-scale", "8",
+      "--alpha", "inf"], "alpha must be positive and finite, got inf"),
+    (["vintegral", "--kind", "maass", "--t", "2", "--z", "32", "--t-scale", "8",
+      "--alpha", "nan"], "alpha must be positive and finite, got nan"),
+    (["bessel", "--fn", "W", "--t", "1", "--y", "inf"],
+     "argument must be finite, got inf"),
+    (["bessel", "--fn", "W", "--k", "2", "--y", "inf"],
+     "argument must be finite, got inf"),
+    (["bessel", "--fn", "kernel", "--t", "1", "--y", "inf"],
+     "argument must be finite, got inf"),
+    (["bessel", "--fn", "kernel", "--k", "2", "--y", "inf"],
+     "argument must be finite, got inf"),
+    (["bessel", "--fn", "Ypair", "--t", "1", "--y", "inf"],
+     "argument must be finite, got inf"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
@@ -315,6 +381,22 @@ def test_runtime_dependencies_are_the_third_party_imports_of_src():
                 imported.add(node.module.split(".")[0])
     imported -= set(sys.stdlib_module_names) | {"__future__", "supnorm"}
     assert declared == imported == {"numpy", "scipy", "click"}
+
+
+def test_every_module_level_import_of_src_is_used():
+    # a name that a top-level import binds and no code reads is a leftover
+    unused = []
+    for path in sorted(Path(supnorm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(bound - read)]
+    assert unused == []
 
 
 def test_version_from_a_source_checkout(runner):

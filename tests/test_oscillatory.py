@@ -106,7 +106,7 @@ def test_lemma4_decay_check():
 
 
 def test_lemma4_slope_is_steep():
-    rep = oscillatory.lemma4_t_sweep(2048.0, 0.3, 2, [8, 16, 32])
+    rep = oscillatory.lemma4_t_sweep(2048.0, 0.3, [8, 16, 32])
     assert rep["slope"] <= -1.8
 
 
