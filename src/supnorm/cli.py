@@ -420,7 +420,7 @@ def amplifier_cmd(l_len, n_level, seed, is_variant, output):
 
 @main.group("optimize", invoke_without_command=True)
 @click.option("--theta", default=str(THETA), help="Progress-toward-Ramanujan exponent.")
-@click.option("--emit-trace", is_flag=True, help="Include the full dominance trace.")
+@click.option("--emit-trace", is_flag=True, help="Include every term and constraint at the optimum.")
 @output_option
 @click.pass_context
 @_bad_input()

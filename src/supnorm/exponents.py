@@ -1,15 +1,17 @@
 """Exact-rational exponent calculus over the symbols N, t_star, Z, L, H, q,
-and the parameter optimization that balances the minor-arc, major-arc and
-amplifier-length trade-offs down to the final sup-norm exponents.
+and the linear program that chooses the amplifier length L and the Dirichlet
+cap H to minimise the largest minor- and major-arc term.
 
-No floats anywhere: monomials are maps symbol -> Fraction, bounds are monomial
-lists (sums, i.e. maxima up to constants), and all dominance comparisons are
-linear inequalities in the exponent of t_star relative to N evaluated at the
-corners of the allowed range.
+No floats anywhere: monomials are maps symbol -> Fraction, and bounds are
+monomial lists (sums, i.e. maxima up to constants).  With H = N^h, L = N^l and
+t* = N^tau every term's N-exponent is affine in (h, l), so the program is
+solved exactly, by its vertices, at the two ends of the allowed t*-range.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,139 +144,127 @@ def lemma9_lemma11_assembly(theta: Fraction = THETA) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# balancing and dominance
+# the exponent linear program
 # ---------------------------------------------------------------------------
 
 Z_SUBSTITUTION = {"Z": Monomial.of(t_star=1, N=1)}
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan elimination over Q: the X with matrix @ X = rhs, for a
-    square matrix; raises ValueError when the matrix is singular."""
-    n = len(matrix)
-    rows = [list(m) + list(r) for m, r in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("balance system is singular or underdetermined")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [v / lead for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def solve_balance(terms) -> dict:
-    """Equates the N- and t*-exponents of the supplied terms after Z -> t* N,
-    with each unknown X of H, L = N^x1 (t*)^x2, and solves the system exactly.
-
-    The N- and t*-exponents decouple into two systems with the same matrix,
-    one row per term after the first: sum_u (c_j,u - c_0,u) x_u = e_0 - e_j,
-    where c_j,u is the power of unknown u in term j and e_j its own exponent.
-
-    Returns {unknown: Monomial in N, t*}."""
-    unknowns = ("H", "L")
-    terms = [t.substitute(Z_SUBSTITUTION) for t in terms]
-    if len(terms) != len(unknowns) + 1:
-        raise ValueError("need exactly one more term than unknowns")
-    base = terms[0]
-    matrix = [[t.exponent(u) - base.exponent(u) for u in unknowns] for t in terms[1:]]
-    rhs = [[base.exponent(s) - t.exponent(s) for s in ("N", "t_star")] for t in terms[1:]]
-    solution = _solve_exact(matrix, rhs)
-    return {u: Monomial.of(N=n_v, t_star=t_v) for u, (n_v, t_v) in zip(unknowns, solution)}
-
+Z_LOW = Monomial.of(N=F(9, 10))  # the major arc's Z-range is [N^(9/10), t* N]
+Q0 = Monomial.of(N=F(1, 3))
 
 T_STAR_MAX = F(1, 165)  # allowed range: 1 <= t* <= N^(1/165)
 _CORNERS = (F(0), T_STAR_MAX)  # the values of tau, with t* = N^tau, at its ends
 
+# Admissibility of H = N^h and L = N^l at t* = N^tau, that is
+# max(N^(1/100), (t*)^3) <= L <= N and t* L^2 <= H <= N: each row
+# (name, c_h, c_l, c_tau, c_0) states c_h h + c_l l + c_tau tau + c_0 >= 0.
+CONSTRAINTS = (
+    ("L_lower_fixed", 0, 1, 0, F(-1, 100)),
+    ("L_lower_tstar", 0, 1, -3, 0),
+    ("L_upper", 0, -1, 0, 1),
+    ("H_lower", 1, -2, -1, 0),
+    ("H_upper", -1, 0, 0, 1),
+)
 
-def _n_exponent_at_corner(m: Monomial, tau: Fraction) -> Fraction:
-    """Exponent of N when t* = N^tau; requires m to contain only N, t*, q=resolved."""
-    for s, _ in m.exponents:
-        if s not in ("N", "t_star"):
-            raise ValueError(f"unreduced symbol {s} in {m}")
+
+def admissibility(h: Fraction, l: Fraction, tau: Fraction) -> dict:
+    """Whether each CONSTRAINTS row holds at H = N^h, L = N^l, t* = N^tau."""
+    return {name: c_h * h + c_l * l + c_tau * tau + c_0 >= 0
+            for name, c_h, c_l, c_tau, c_0 in CONSTRAINTS}
+
+
+def _n_exponent(m: Monomial, tau: Fraction) -> Fraction:
+    """Exponent of N in m when t* = N^tau."""
     return m.exponent("N") + m.exponent("t_star") * tau
 
 
-def dominates(candidate: Monomial, others) -> bool:
-    """candidate >= every other monomial at both corners of the t*-range."""
-    return all(
-        _n_exponent_at_corner(candidate, tau) >= _n_exponent_at_corner(m, tau)
-        for m in others for tau in _CORNERS
-    )
+def _integer_row(coeffs, rhs) -> tuple:
+    """The row coeffs . x <= rhs scaled to integer coefficients."""
+    den = math.lcm(*(F(v).denominator for v in (*coeffs, rhs)))
+    return tuple(int(v * den) for v in coeffs), int(rhs * den)
 
 
-def check_parameter_constraints(H: Monomial, L: Monomial) -> dict:
-    """The solved H, L must satisfy max(N^(1/100), (t*)^3) <= L <= N and
-    t* L^2 <= H <= N over the whole t*-range (checked at corners)."""
-    results = {}
-    for tau in _CORNERS:
-        l_val = _n_exponent_at_corner(L, tau)
-        h_val = _n_exponent_at_corner(H, tau)
-        results[str(tau)] = {
-            "L_lower_fixed": l_val >= F(1, 100),
-            "L_lower_tstar": l_val >= 3 * tau,
-            "L_upper": l_val <= 1,
-            "H_lower": h_val >= tau + 2 * l_val,
-            "H_upper": h_val <= 1,
-        }
-    ok = all(all(v.values()) for v in results.values())
-    return {"satisfied": ok, "corners": results}
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def optimize_hl(terms, tau: Fraction) -> tuple:
+    """The (h, l, z) of least z with every term at most N^z and the
+    CONSTRAINTS rows holding, where H = N^h, L = N^l, t* = N^tau and each
+    term is a monomial in N, t*, H and L.
+
+    The rows bound h and l, and the terms bound z from below, so the feasible
+    set has vertices and its least z is attained at one.  Every vertex is a
+    triple of active rows: each triple is solved by Cramer's rule over the
+    integers and kept if it satisfies every row.  Ties in z go to the first
+    triple in lexicographic order, the rows numbered in the order of `terms`
+    and then of CONSTRAINTS."""
+    if any(s not in ("N", "t_star", "H", "L") for m in terms for s, _ in m.exponents):
+        raise ValueError("terms may hold only the symbols N, t_star, H and L")
+    rows = [_integer_row((m.exponent("H"), m.exponent("L"), -1), -_n_exponent(m, tau))
+            for m in terms]
+    rows += [_integer_row((-c_h, -c_l, 0), c_tau * tau + c_0)
+             for _, c_h, c_l, c_tau, c_0 in CONSTRAINTS]
+    best = None  # (numerators of h, l, z; their common positive denominator)
+    for (a_i, b_i), (a_j, b_j), (a_k, b_k) in itertools.combinations(rows, 3):
+        c_jk, c_ki, c_ij = _cross(a_j, a_k), _cross(a_k, a_i), _cross(a_i, a_j)
+        det = a_i[0] * c_jk[0] + a_i[1] * c_jk[1] + a_i[2] * c_jk[2]
+        if det == 0:
+            continue
+        num = [b_i * x + b_j * y + b_k * w for x, y, w in zip(c_jk, c_ki, c_ij)]
+        if det < 0:
+            det, num = -det, [-v for v in num]
+        if best is not None and num[2] * best[1] >= best[0][2] * det:
+            continue
+        if all(a[0] * num[0] + a[1] * num[1] + a[2] * num[2] <= b * det for a, b in rows):
+            best = (num, det)
+    if best is None:
+        raise ValueError(f"no admissible H and L at t* = N^{tau}")
+    num, det = best
+    return tuple(F(v, det) for v in num)
 
 
 # ---------------------------------------------------------------------------
 # the final exponent pipeline
 # ---------------------------------------------------------------------------
 
-Q0 = Monomial.of(N=F(1, 3))
+def arc_terms(theta: Fraction = THETA) -> tuple:
+    """The minor- and major-arc terms as monomials in N, t*, H and L, with Z
+    and the split q0 = N^(1/3) of the denominator range substituted."""
+    b1, b2 = assemble_bound1(theta), assemble_bound2()
+    # minor-arc regime q >= q0: negative q-powers are worst at q = q0
+    if any(m.exponent("q") > 0 for m in b1.monomials):
+        raise ValueError("unexpected positive q-power on the minor-arc side")
+    minor = [m.substitute({**Z_SUBSTITUTION, "q": Q0}) for m in b1.monomials]
+
+    # major-arc regime q <= q0: positive q-powers worst at q = q0; the
+    # Z-range enters through the worst corner per monomial
+    if any(m.exponent("q") < 0 for m in b2.monomials):
+        raise ValueError("unexpected negative q-power on the major-arc side")
+    major = [m.substitute({"Z": Z_SUBSTITUTION["Z"] if m.exponent("Z") >= 0 else Z_LOW,
+                           "q": Q0}) for m in b2.monomials]
+    return minor, major
 
 
 def theorem1_final(theta: Fraction = THETA) -> dict:
-    """Balances the first and third terms of the minor-arc bound against the
-    H-term of the major-arc bound, substitutes the solved H and L, splits the
-    denominator range at q0 = N^(1/3), and takes the worst surviving term."""
+    """Chooses H and L by the linear program `optimize_hl` over the arc terms
+    at both corners of the t*-range, and reports the first minor-arc term,
+    which the paper balances, as the final exponent."""
     if not 0 <= theta <= F(1, 2):
         raise ValueError(f"theta must lie in [0, 1/2], got {theta}")
-    b1 = assemble_bound1(theta)
-    b2 = assemble_bound2()
-    critical = [b1.monomials[0], b1.monomials[2], b2.monomials[1]]
-    solved = solve_balance(critical)
-    sub = dict(Z_SUBSTITUTION)
-    sub.update(solved)
-
-    # minor-arc regime q >= q0: negative q-powers are worst at q = q0
-    minor_terms = []
-    for m in b1.monomials:
-        r = m.substitute(sub)
-        qe = r.exponent("q")
-        if qe > 0:
-            raise ValueError("unexpected positive q-power on the minor-arc side")
-        minor_terms.append(r.substitute({"q": Q0}))
-    balanced = b1.monomials[0].substitute(sub)  # q-free by construction
-
-    # major-arc regime q <= q0: positive q-powers worst at q = q0; the
-    # Z-range [N^(9/10), t* N] enters through the worst corner per monomial
-    z_low = Monomial.of(N=F(9, 10))
-    major_terms = []
-    for m in b2.monomials:
-        z_e = m.exponent("Z")
-        z_sub = {"Z": Monomial.of(t_star=1, N=1) if z_e >= 0 else z_low}
-        r = m.substitute({**solved, **z_sub})
-        qe = r.exponent("q")
-        if qe < 0:
-            raise ValueError("unexpected negative q-power on the major-arc side")
-        major_terms.append(r.substitute({"q": Q0}))
-
-    everything = minor_terms + major_terms
-    dominated = dominates(balanced, everything)
+    minor, major = arc_terms(theta)
+    (h0, l0, z0), (h1, l1, z1) = (optimize_hl(minor + major, tau) for tau in _CORNERS)
+    solved = {"H": Monomial.of(N=h0, t_star=(h1 - h0) / T_STAR_MAX),
+              "L": Monomial.of(N=l0, t_star=(l1 - l0) / T_STAR_MAX)}
+    minor_terms = [m.substitute(solved) for m in minor]
+    major_terms = [m.substitute(solved) for m in major]
+    balanced = minor_terms[0]  # q-free
+    corners = {str(tau): admissibility(h, l, tau)
+               for tau, h, l in zip(_CORNERS, (h0, h1), (l0, l1))}
 
     # the secondary minor-arc term, rewritten with the same t*-power as the
     # balanced term by absorbing the excess t* into N via t* <= N^(1/165);
     # its q^(-1/2) stays symbolic
-    secondary = b1.monomials[1].substitute(sub)
+    secondary = assemble_bound1(theta).monomials[1].substitute({**Z_SUBSTITUTION, **solved})
     excess = secondary.exponent("t_star") - balanced.exponent("t_star")
     second_form_n_exp = secondary.exponent("N") + excess * T_STAR_MAX
 
@@ -284,11 +274,13 @@ def theorem1_final(theta: Fraction = THETA) -> dict:
         "exponent_N": balanced.exponent("N"),
         "exponent_t_star": balanced.exponent("t_star"),
         "q0": Q0,
-        "balanced_term_dominates": dominated,
+        "balanced_term_dominates": all(
+            _n_exponent(balanced, tau) == z for tau, z in zip(_CORNERS, (z0, z1))),
         "secondary_exponent_N": secondary.exponent("N"),
         "secondary_exponent_t_star": secondary.exponent("t_star"),
         "second_form_N_exponent": second_form_n_exp,
-        "constraints": check_parameter_constraints(solved["H"], solved["L"]),
+        "constraints": {"satisfied": all(all(c.values()) for c in corners.values()),
+                        "corners": corners},
         "minor_terms": minor_terms,
         "major_terms": major_terms,
     }
@@ -300,8 +292,9 @@ def theorem2_combination() -> dict:
     and equal N- and t*-exponents of X^w1 Y^w2 exactly; they come out as
     (37/2269, 2232/2269), and both final exponents as -1/2269."""
     x, y = Monomial.of(t_star=5, N=F(-1, 37)), Monomial.of(t_star=F(-1, 12))
-    gap = [m.exponent("N") - m.exponent("t_star") for m in (x, y)]
-    (w1,), (w2,) = _solve_exact([[F(1), F(1)], gap], [[F(1)], [F(0)]])
+    g1, g2 = (m.exponent("N") - m.exponent("t_star") for m in (x, y))
+    # w1 + w2 = 1 and g1 w1 + g2 w2 = 0
+    w1, w2 = g2 / (g2 - g1), g1 / (g1 - g2)
     t_exp = x.exponent("t_star") * w1 + y.exponent("t_star") * w2
     n_exp = x.exponent("N") * w1 + y.exponent("N") * w2
     return {

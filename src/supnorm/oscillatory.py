@@ -110,6 +110,7 @@ def distance_to_nearest_integer(alpha) -> float:
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 2 ** 22  # integers in one window sum; about 50 bytes each at peak
+_LOG_ENVELOPE = 690.0  # keeps the envelope and |sum| / envelope, |sum| < _MAX_TERMS, finite
 
 
 def lemma4_decay_check(w: SmoothWindow, alpha, j: int = 2) -> dict:
@@ -126,6 +127,9 @@ def lemma4_decay_check(w: SmoothWindow, alpha, j: int = 2) -> dict:
     lo, hi = w.support
     if not hi - lo < _MAX_TERMS:
         raise ResourceLimitError(f"window [{lo:g}, {hi:g}] exceeds cap {_MAX_TERMS} integers")
+    log_bound = math.log(w.Z) - j * math.log(w.T * norm)
+    if not abs(log_bound) < _LOG_ENVELOPE:
+        raise ValueError(f"envelope Z (T ||alpha||)^-j = e^{log_bound:.4g} leaves the float range")
     m = np.arange(math.ceil(lo), math.floor(hi) + 1)
     phases = 2 * math.pi * ((float(alpha) * m) % 1.0)
     vals = w(m.astype(float))

@@ -281,8 +281,7 @@ def bessel_y_imag_pair(t: float, y: float) -> float:
 
 
 def whittaker_weight(param: ArchimedeanParameter, y: float) -> float:
-    if not 0 < y < math.inf:
-        raise ValueError(f"argument must be {'finite' if y > 0 else 'positive'}, got {y}")
+    (y,) = _positive_array(y).tolist()
     if param.kind == "holomorphic":
         k = param.k
         # log-domain: Gamma(k)^{-1/2} (4 pi y)^{k/2} e^{-2 pi y}
@@ -308,8 +307,7 @@ def voronoi_kernel_values(param: ArchimedeanParameter, sign: str, w) -> np.ndarr
 
 
 def voronoi_kernel(param: ArchimedeanParameter, sign: str, y: float) -> float:
-    if y <= 0:
-        raise ValueError(f"argument must be positive, got {y}")
+    (y,) = _positive_array(y).tolist()
     return float(voronoi_kernel_values(param, sign, [4 * math.pi * y])[0])
 
 

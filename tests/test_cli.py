@@ -329,6 +329,11 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
      "argument must be finite, got inf"),
     (["bessel", "--fn", "Ypair", "--t", "1", "--y", "inf"],
      "argument must be finite, got inf"),
+    # the envelope Z (T ||alpha||)^-j overflows at T ||alpha|| < 1, underflows past it
+    (["decay", "--z", "256", "--t", "2", "--alpha", "0.3", "--j", "2000"],
+     "envelope Z (T ||alpha||)^-j = e^1027 leaves the float range"),
+    (["decay", "--z", "256", "--t", "32", "--alpha", "0.3", "--j", "2000"],
+     "envelope Z (T ||alpha||)^-j = e^-4518 leaves the float range"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from supnorm import exponents
 from supnorm.exponents import Bound, Monomial
@@ -56,33 +56,91 @@ def test_lemma9_lemma11_assembly():
     assert rep["monomial_sets_equal"]
 
 
-def test_solve_balance_reproduces_h_and_l():
-    b1 = exponents.assemble_bound1()
-    b2 = exponents.assemble_bound2()
-    sol = exponents.solve_balance([b1.monomials[0], b1.monomials[2], b2.monomials[1]])
-    assert sol["H"] == Monomial.of(N=F(313, 457), t_star=F(-1803, 914))
-    assert sol["L"] == Monomial.of(N=F(64, 457), t_star=F(96, 457))
+CORNERS = (F(0), F(1, 165))
 
 
-def test_solve_balance_equalizes_terms():
-    b1 = exponents.assemble_bound1()
-    b2 = exponents.assemble_bound2()
-    terms = [b1.monomials[0], b1.monomials[2], b2.monomials[1]]
-    sol = exponents.solve_balance(terms)
-    sub = dict(exponents.Z_SUBSTITUTION)
-    sub.update(sol)
-    reduced = [t.substitute(sub) for t in terms]
-    # q-free exponents must agree exactly after balancing
-    base = (reduced[0].exponent("N"), reduced[0].exponent("t_star"))
-    for r in reduced[1:]:
-        qfree = r.substitute({"q": Monomial.one()})
-        assert (qfree.exponent("N"), qfree.exponent("t_star")) == base
+def _largest_term(terms, h, l, tau):
+    """The largest N-exponent among `terms` at H = N^h, L = N^l, t* = N^tau."""
+    point = {"H": Monomial.of(N=h), "L": Monomial.of(N=l)}
+    reduced = [m.substitute(point) for m in terms]
+    return max(r.exponent("N") + r.exponent("t_star") * tau for r in reduced)
 
 
-def test_solve_balance_validation():
-    b1 = exponents.assemble_bound1()
-    with pytest.raises(ValueError):
-        exponents.solve_balance([b1.monomials[0], b1.monomials[1]])
+def _admissible(h, l, tau):
+    # max(N^(1/100), (t*)^3) <= L <= N and t* L^2 <= H <= N, written out
+    return max(F(1, 100), 3 * tau) <= l <= 1 and tau + 2 * l <= h <= 1
+
+
+def test_optimize_hl_reproduces_the_balance():
+    terms = sum(exponents.arc_terms(), [])
+    assert exponents.optimize_hl(terms, F(0)) == (F(313, 457), F(64, 457), F(-25, 914))
+    assert exponents.optimize_hl(terms, F(1, 165)) == (
+        F(33829, 50270), F(3552, 25135), F(1729, 301620))
+
+
+def test_optimize_hl_rejects_unreduced_terms_and_empty_regions():
+    terms = sum(exponents.arc_terms(), [])
+    with pytest.raises(ValueError, match="only the symbols"):
+        exponents.optimize_hl(terms + [Monomial.of(q=1)], F(0))
+    # past t* = N^(1/3), (t*)^3 <= L <= N leaves no L
+    with pytest.raises(ValueError, match="no admissible H and L"):
+        exponents.optimize_hl(terms, F(1, 2))
+
+
+@pytest.mark.parametrize("tau", CORNERS, ids=str)
+def test_three_active_terms_are_equal_at_the_optimum(tau):
+    minor, major = exponents.arc_terms()
+    h, l, z = exponents.optimize_hl(minor + major, tau)
+    values = [_largest_term([m], h, l, tau) for m in minor + major]
+    # the first and third minor-arc terms and the H-term of the major arc
+    assert [i for i, v in enumerate(values) if v == z] == [0, 2, 5]
+    assert max(values) == z
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 32), st.sampled_from(CORNERS),
+       st.fractions(0, 1), st.fractions(0, 1))
+def test_no_admissible_point_beats_the_optimum(k, tau, u, v):
+    terms = sum(exponents.arc_terms(F(k, 64)), [])
+    z = exponents.optimize_hl(terms, tau)[2]
+    lo, hi = max(F(1, 100), 3 * tau), (1 - tau) / 2
+    l = lo + u * (hi - lo)
+    h = tau + 2 * l + v * (1 - tau - 2 * l)
+    assert _admissible(h, l, tau)
+    assert _largest_term(terms, h, l, tau) >= z
+
+
+def test_admissibility_flags_a_bad_point():
+    report = exponents.admissibility(F(2), F(1, 200), F(0))
+    assert report == {"L_lower_fixed": False, "L_lower_tstar": True, "L_upper": True,
+                      "H_lower": True, "H_upper": False}
+    assert all(exponents.admissibility(F(313, 457), F(64, 457), F(0)).values())
+
+
+@pytest.mark.parametrize("k", range(33))
+def test_dominance_and_constraints_hold_on_the_theta_grid(k):
+    rep = exponents.theorem1_final(F(k, 64))
+    assert rep["balanced_term_dominates"]
+    assert rep["constraints"]["satisfied"]
+
+
+def test_theta_one_half_ties_go_to_the_balanced_vertex():
+    # the optimum is a face: three vertices at each corner reach z*, and the
+    # tie rule keeps the one where the balanced triple of terms is active
+    rep = exponents.theorem1_final(F(1, 2))
+    assert rep["H"] == Monomial.of(N=F(2, 3), t_star=-2)
+    assert rep["L"] == Monomial.of(N=F(4, 27), t_star=F(2, 9))
+    assert (rep["exponent_N"], rep["exponent_t_star"]) == (0, F(11, 2))
+    terms = sum(exponents.arc_terms(F(1, 2)), [])
+    optimal = {
+        F(0): (F(0), [(F(2, 3), F(4, 27)), (F(2, 3), F(1, 100)), (F(391, 400), F(1, 100))]),
+        F(1, 165): (F(1, 30), [(F(36, 55), F(74, 495)), (F(36, 55), F(1, 55)),
+                               (F(19, 20), F(1, 55))]),
+    }
+    for tau, (z, vertices) in optimal.items():
+        assert exponents.optimize_hl(terms, tau) == (*vertices[0], z)
+        for h, l in vertices:
+            assert _admissible(h, l, tau) and _largest_term(terms, h, l, tau) == z
 
 
 def test_theorem1_final_exponents_exact():
@@ -128,16 +186,3 @@ def test_no_floats_anywhere():
         assert isinstance(rep[key], F)
     for m in rep["minor_terms"] + rep["major_terms"]:
         assert all(isinstance(v, F) for _, v in m.exponents)
-
-
-def test_dominates_at_corners():
-    big = Monomial.of(N=1)
-    small = Monomial.of(N=F(1, 2), t_star=1)
-    assert exponents.dominates(big, [small])
-    assert not exponents.dominates(small, [big])
-
-
-def test_check_parameter_constraints_flags_bad_choices():
-    bad = exponents.check_parameter_constraints(
-        Monomial.of(N=2), Monomial.of(N=F(1, 200)))
-    assert not bad["satisfied"]

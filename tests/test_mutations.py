@@ -43,6 +43,13 @@ FAULTS = {
     "exponent perturbed in assemble_bound1": (
         "exponents/reproduction", "all_exact", exponents, "assemble_bound1",
         "H=F(1, 2), N=F(-3, 4)", "H=F(1, 3), N=F(-3, 4)"),
+    # with the least-z comparison flipped the program keeps its worst vertex
+    "least-z comparison flipped in optimize_hl": (
+        "exponents/reproduction", "all_exact", exponents, "optimize_hl",
+        "num[2] * best[1] >= best[0][2] * det", "num[2] * best[1] <= best[0][2] * det"),
+    "major-arc terms left out of the exponent program": (
+        "exponents/reproduction", "all_exact", exponents, "theorem1_final",
+        "optimize_hl(minor + major, tau)", "optimize_hl(minor, tau)"),
     "integration-by-parts sign flipped": (
         "specfun/grid", None, specfun, "check_ibp_identity",
         "rhs *= _IBP_SIGN[family]", "rhs *= -_IBP_SIGN[family]"),
