@@ -335,12 +335,12 @@ def count_a_cmd(ctx, c_scale, s, r, r_tilde, d1, d2, u, n_level, h_cap, emit_ele
     which = "square" if ctx.info_name == "Asq" else "plain"
     inst = counting.CountingInstance(C=c_scale, S=s, R=r, R_tilde=r_tilde, d1=d1, d2=d2,
                                      u=u, N=SquarefreeModulus.from_int(n_level), H=h_cap)
-    plain = counting.enumerate_A(inst)
+    plain = counting.enumerate_A_columns(inst)
     rep = counting.lemma10_bound_check(inst, which, plain)
     out = {"count": rep["count"], "bound": rep["bound"], "ratio": rep["ratio"]}
     if emit_elements:
-        out["elements"] = (plain if which == "plain"
-                           else counting.enumerate_A_square(inst, plain))
+        out["elements"] = counting.rows(plain if which == "plain"
+                                        else counting.enumerate_A_square(inst, plain))
     _emit(out, output)
 
 

@@ -5,15 +5,18 @@ near a point of the upper half-plane.
 
 Everything here is exact integer enumeration plus bound-formula evaluation.
 Each fast enumerator has a second one, of a different algorithm, that the
-`verify` sweeps and the tests compare it with: `enumerate_A` solves for s,
-repeating each (c, r1, r2) grid point once per admissible s in numpy passes,
-where `enumerate_A_naive` tests every point of the 4-D box in one broadcast
-pass; `enumerate_R_N_matrices` tests u with the float `point_pair_u` where
-`enumerate_matrices_naive` scans a box derived from the instance
-(`_oracle_box`, which provably holds every g with u(z, gz) < delta) and tests
-the closed form for u with a stated rounding margin and exact `Fraction`
-fallback (`_u_below`).  `count_admissible_a` walks the units in numpy blocks
-and checks the ones in the box exactly.
+`verify` sweeps and the tests compare it with: `enumerate_A_columns` solves
+for s, repeating each (c, r1, r2) grid point once per admissible s in numpy
+passes, where `enumerate_A_naive_columns` tests every point of the 4-D box in
+one broadcast pass.  Both return the quadruples as four 1-d arrays (c, s, r1,
+r2), which the box sweep, the bound check and the square subset use as they
+are; only the public `enumerate_A` and `enumerate_A_naive` turn them into a
+list of tuples.  `enumerate_R_N_matrices` tests u with the float
+`point_pair_u` where `enumerate_matrices_naive` scans a box derived from the
+instance (`_oracle_box`, which provably holds every g with u(z, gz) < delta)
+and tests the closed form for u with a stated rounding margin and exact
+`Fraction` fallback (`_u_below`).  `count_admissible_a` walks the units in
+numpy blocks and checks the ones in the box exactly.
 """
 
 from __future__ import annotations
@@ -70,9 +73,13 @@ class CountingInstance:
         return self.C * (2 * self.S + 1) * (2 * self.R + 1) * (2 * self.R_tilde + 1)
 
 
-def enumerate_A(inst: CountingInstance) -> list[tuple]:
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def enumerate_A_columns(inst: CountingInstance) -> Columns:
     """All (c, s, r1, r2) with C <= c < 2C, |s| <= S, |r1| <= R, |r2| <= R_tilde
-    and N | u^2 d1 d2 c + u (d1 r2 + d2 r1) + s, in lexicographic order.
+    and N | u^2 d1 d2 c + u (d1 r2 + d2 r1) + s, as four int64 columns in
+    lexicographic order.
 
     Solves for s instead of testing it: each grid point (c, r1, r2) fixes the
     class of s mod N, so its admissible s are the least one, t - floor S with
@@ -81,7 +88,8 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
     points; each point of a block is repeated once per admissible s, and the
     block is sorted once, stably, by (c, s), which keeps the (r1, r2) order.
     Residues are int64 for N < 2^31 (every |c|, |r| < 2^31 under `BOX_LIMIT`,
-    so each product stays below 2^62) and Python integers above."""
+    so each product stays below 2^62) and Python integers above; the columns
+    themselves are box coordinates, int64 at every N."""
     if inst.box_volume() > BOX_LIMIT:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n, u, sf = inst.N.value, inst.u, math.floor(inst.S)
@@ -96,7 +104,7 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
     t_r = (sf - times(u * inst.d2, r1)[:, None] - times(u * inst.d1, r2)) % n
     per_c = t_r.size
     step = max(1, _UNIT_BLOCK // per_c)
-    out = []
+    blocks = []
     for lo in range(0, len(c_axis), step):
         c = c_axis[lo:lo + step]
         t = ((t_r - times(u * u * inst.d1 * inst.d2, c)[:, None, None]) % n).ravel()
@@ -104,20 +112,21 @@ def enumerate_A(inst: CountingInstance) -> list[tuple]:
         point = np.repeat(np.arange(t.size), count)
         k = np.arange(point.size) - np.repeat(np.cumsum(count) - count, count)
         s = (t[point] - sf + k.astype(exact) * n).astype(np.int64)
-        order = np.argsort(point // per_c * (2 * sf + 1) + s, kind="stable")
+        # the key in the narrowest unsigned type, so a small box sorts by radix
+        key = point // per_c * (2 * sf + 1) + (s + sf)
+        order = np.argsort(key.astype(np.min_scalar_type(len(c) * (2 * sf + 1))), kind="stable")
         ic, ir = np.divmod(point[order], per_c)
-        out += zip(c[ic].tolist(), s[order].tolist(), r1[ir // len(r2)].tolist(),
-                   r2[ir % len(r2)].tolist())
-    return out
+        blocks.append((c[ic], s[order], r1[ir // len(r2)], r2[ir % len(r2)]))
+    return tuple(np.concatenate(v) for v in zip(*blocks))
 
 
-def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
+def enumerate_A_naive_columns(inst: CountingInstance) -> Columns:
     """Independent second enumerator: tests the divisibility at every point of
     the box, with the four 1-D axes (c, s, r1, r2) broadcast against each other,
     and reads the quadruples off the flat indices of the hits (`np.flatnonzero`,
     then `np.unravel_index`), whose C order is lexicographic.
-    The axes are int64 for N < 2^31, where no residue sum reaches 2^63, and
-    Python integers above."""
+    The axes, and so the columns, are int64 for N < 2^31, where no residue sum
+    reaches 2^63, and Python integers (object arrays) above."""
     if inst.box_volume() > BOX_LIMIT:
         raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
     n, u = inst.N.value, inst.u
@@ -129,23 +138,50 @@ def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
     # N | head + u d1 r2, with head the residue of every other term over (c, s, r1)
     head = (u * u * inst.d1 * inst.d2 % n * c[:, None, None] + s[:, None]
             + u * inst.d2 % n * r1) % n
+    rhs = -(u * inst.d1 % n) * r2 % n
+    if exact is np.int64:   # residues in [0, N), compared in the narrowest type
+        head, rhs = head.astype(np.min_scalar_type(n)), rhs.astype(np.min_scalar_type(n))
     ic, i_s, i1, i2 = np.unravel_index(
-        np.flatnonzero(head[..., None] == -(u * inst.d1 % n) * r2 % n),
+        np.flatnonzero(head[..., None] == rhs),
         (len(c), len(s), len(r1), len(r2)))
-    return list(zip(c[ic].tolist(), s[i_s].tolist(), r1[i1].tolist(), r2[i2].tolist()))
+    return c[ic], s[i_s], r1[i1], r2[i2]
 
 
-def enumerate_A_square(inst: CountingInstance, plain: list[tuple]) -> list[tuple]:
-    """Subset of `plain` = enumerate_A(inst) (requires d1 = d2 = 1) with
-    s*c - r1*r2 a perfect square, zero included."""
+def rows(cols: Columns) -> list[tuple]:
+    """The quadruples of four columns as a list of tuples of Python integers."""
+    return list(zip(*(v.tolist() for v in cols)))
+
+
+def enumerate_A(inst: CountingInstance) -> list[tuple]:
+    """The quadruples of `enumerate_A_columns` as a list of (c, s, r1, r2)."""
+    return rows(enumerate_A_columns(inst))
+
+
+def enumerate_A_naive(inst: CountingInstance) -> list[tuple]:
+    """The quadruples of `enumerate_A_naive_columns` as a list of (c, s, r1, r2)."""
+    return rows(enumerate_A_naive_columns(inst))
+
+
+def is_square(v: np.ndarray) -> np.ndarray:
+    """Elementwise: v >= 0 and v a perfect square, exactly, for int64 |v| < 2^62
+    or Python integers (an object array, tested with `math.isqrt`).  In int64,
+    a square k^2 has a float square root within k 2^-52 < 1/2 of k, so rounding
+    it recovers k, and k^2 < 2^63 is exact."""
+    if v.dtype == object:
+        return np.array([x >= 0 and math.isqrt(x) ** 2 == x for x in v.tolist()], dtype=bool)
+    root = np.rint(np.sqrt(np.maximum(v, 0).astype(float))).astype(np.int64)
+    return (v >= 0) & (root * root == v)
+
+
+def enumerate_A_square(inst: CountingInstance, plain: Columns) -> Columns:
+    """The columns of `plain` = enumerate_A_columns(inst) (requires d1 = d2 = 1)
+    restricted to the quadruples with s*c - r1*r2 a perfect square, zero included.
+    Every |s c - r1 r2| is below 2^62 under `BOX_LIMIT`."""
     if inst.d1 != 1 or inst.d2 != 1:
         raise ValueError("the square variant is defined for d1 = d2 = 1")
-    out = []
-    for (c, s, r1, r2) in plain:
-        v = s * c - r1 * r2
-        if v >= 0 and math.isqrt(v) ** 2 == v:
-            out.append((c, s, r1, r2))
-    return out
+    c, s, r1, r2 = plain
+    keep = is_square(s * c - r1 * r2)
+    return c[keep], s[keep], r1[keep], r2[keep]
 
 
 def lemma10_bound(inst: CountingInstance, which: str = "plain") -> float:
@@ -164,11 +200,11 @@ def lemma10_bound(inst: CountingInstance, which: str = "plain") -> float:
             + C * tot / q + C + math.sqrt(S * C) * q * min(R, Rt) / N)
 
 
-def lemma10_bound_check(inst: CountingInstance, which: str, plain: list[tuple]) -> dict:
-    """The count in `plain` = enumerate_A(inst), or of its square subset,
-    against `lemma10_bound`."""
+def lemma10_bound_check(inst: CountingInstance, which: str, plain: Columns) -> dict:
+    """The count in `plain` = enumerate_A_columns(inst), or of its square
+    subset, against `lemma10_bound`."""
     bound = lemma10_bound(inst, which)
-    count = len(enumerate_A_square(inst, plain) if which == "square" else plain)
+    count = len((enumerate_A_square(inst, plain) if which == "square" else plain)[0])
     return {"count": count, "bound": bound,
             "ratio": count / bound if bound > 0 else (0.0 if count == 0 else math.inf)}
 

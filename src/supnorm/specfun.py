@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +151,17 @@ def _row_blocks(n_rows: int, n_nodes: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
-def _positive_array(y) -> np.ndarray:
+def _positive_array(y, scale: float = 1.0) -> np.ndarray:
+    """y as a 1-d float array, once 0 < y and scale * y < inf are checked; a
+    caller that evaluates at scale * y passes its scale, so a finite y whose
+    product overflows is rejected with the y given."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    bad = ~((y > 0) & (y < math.inf))
+    with np.errstate(over="ignore"):
+        bad = ~((y > 0) & (y * scale < math.inf))
     if bad.any():
         v = y[bad][0]
+        if 0 < v < math.inf:
+            raise ValueError(f"argument must be below {sys.float_info.max / scale:.3g}, got {v}")
         raise ValueError(f"argument must be {'finite' if v > 0 else 'positive'}, got {v}")
     return y
 
@@ -281,8 +288,9 @@ def bessel_y_imag_pair(t: float, y: float) -> float:
 
 
 def whittaker_weight(param: ArchimedeanParameter, y: float) -> float:
-    (y,) = _positive_array(y).tolist()
-    if param.kind == "holomorphic":
+    holomorphic = param.kind == "holomorphic"
+    (y,) = _positive_array(y, (4 if holomorphic else 2) * math.pi).tolist()
+    if holomorphic:
         k = param.k
         # log-domain: Gamma(k)^{-1/2} (4 pi y)^{k/2} e^{-2 pi y}
         logval = -0.5 * math.lgamma(k) + 0.5 * k * math.log(4 * math.pi * y) - 2 * math.pi * y
@@ -307,7 +315,7 @@ def voronoi_kernel_values(param: ArchimedeanParameter, sign: str, w) -> np.ndarr
 
 
 def voronoi_kernel(param: ArchimedeanParameter, sign: str, y: float) -> float:
-    (y,) = _positive_array(y).tolist()
+    (y,) = _positive_array(y, 4 * math.pi).tolist()
     return float(voronoi_kernel_values(param, sign, [4 * math.pi * y])[0])
 
 

@@ -156,8 +156,8 @@ def sweep_lemma10(rng: random.Random, n_instances: int = 60) -> dict:
             C=rng.randint(1, 20), S=rng.randint(1, 20), R=rng.randint(1, 20),
             R_tilde=rng.randint(1, 20), d1=rng.randint(1, 3), d2=rng.randint(1, 3),
             u=u, N=mod)
-        plain = counting.enumerate_A(inst)
-        if plain != counting.enumerate_A_naive(inst):
+        plain = counting.enumerate_A_columns(inst)
+        if not all(map(np.array_equal, plain, counting.enumerate_A_naive_columns(inst))):
             dual_ok = False
         worst_plain = max(worst_plain,
                           counting.lemma10_bound_check(inst, "plain", plain)["ratio"])

@@ -98,8 +98,9 @@ def test_count_asq_is_the_square_subset(runner):
             "--emit-elements"]
     inst = counting.CountingInstance(C=4, S=3, R=3, R_tilde=3, d1=1, d2=1, u=2,
                                      N=SquarefreeModulus.from_int(7))
-    plain = counting.enumerate_A(inst)
-    square = counting.enumerate_A_square(inst, plain)
+    columns = counting.enumerate_A_columns(inst)
+    plain = counting.rows(columns)
+    square = counting.rows(counting.enumerate_A_square(inst, columns))
     assert 0 < len(square) < len(plain)
     for name, expected in (("A", plain), ("Asq", square)):
         res = runner.invoke(main, ["count", name, *args])
@@ -334,6 +335,13 @@ def test_verify_config_rejects_dead_key_and_format_typo(runner, tmp_path, cfg_te
      "envelope Z (T ||alpha||)^-j = e^1027 leaves the float range"),
     (["decay", "--z", "256", "--t", "32", "--alpha", "0.3", "--j", "2000"],
      "envelope Z (T ||alpha||)^-j = e^-4518 leaves the float range"),
+    # a finite y whose 4 pi y (2 pi y for the Maass W) overflows
+    (["bessel", "--fn", "kernel", "--t", "3", "--y", "1e308"],
+     "argument must be below 1.43e+307, got 1e+308"),
+    (["bessel", "--fn", "W", "--t", "3", "--y", "1e308"],
+     "argument must be below 2.86e+307, got 1e+308"),
+    (["bessel", "--fn", "W", "--k", "2", "--y", "1e308"],
+     "argument must be below 1.43e+307, got 1e+308"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -1,13 +1,15 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from supnorm import counting, verify
+from supnorm import cli, counting, verify
 from supnorm.arithmetic import SquarefreeModulus, dirichlet_approximate, p_adic_valuation
 from supnorm.counting import (
     BoxLimitError,
@@ -52,14 +54,65 @@ def test_dual_oracle_agreement(C, S, R, Rt, d1, d2, u, n):
 
 def test_square_variant_subset_and_guard():
     inst = _instance(4, 10, 5, 5, u=5)
-    plain = counting.enumerate_A(inst)
-    sq = counting.enumerate_A_square(inst, plain)
-    assert set(sq) <= set(plain)
+    plain = counting.enumerate_A_columns(inst)
+    sq = counting.rows(counting.enumerate_A_square(inst, plain))
+    assert set(sq) <= set(counting.rows(plain))
     for (c, s, r1, r2) in sq:
         v = s * c - r1 * r2
         assert v >= 0 and math.isqrt(v) ** 2 == v
     with pytest.raises(ValueError):
         counting.enumerate_A_square(_instance(1, 1, 1, 1, d1=2), [])
+
+
+# -- the column cores behind the tuple wrappers -------------------------------
+
+@pytest.mark.parametrize("C,S,R,Rt,d1,d2,u,n", [
+    (1, 0, 0, 0, 1, 1, 1, 5),                  # the empty box
+    (1, 0, 0, 0, 1, 1, 5, 5),                  # the singleton box
+    (1, 3, 20, 20, 1, 1, _N_15 - 1, _N_15),    # the N >= 2^31 examples of the dual test
+    (2, 5, 6, 6, 2, 3, _BIG_N - 1, _BIG_N),
+], ids=["empty", "singleton", "N15", "big-N"])
+def test_wrappers_are_their_cores_zipped(C, S, R, Rt, d1, d2, u, n):
+    inst = _instance(C, S, R, Rt, d1, d2, u, n)
+    fast, naive = counting.enumerate_A_columns(inst), counting.enumerate_A_naive_columns(inst)
+    assert all(v.dtype == np.int64 for v in fast)
+    assert all(v.dtype == (object if n >= 2 ** 31 else np.int64) for v in naive)
+    for wrapper, cols in ((counting.enumerate_A, fast), (counting.enumerate_A_naive, naive)):
+        assert len({len(v) for v in cols}) == 1
+        assert wrapper(inst) == list(zip(*(v.tolist() for v in cols)))
+
+
+_SQUARE_PROBES = [0, 1, 2, 3, 4, -1, -4, -(2 ** 62), (2 ** 31 - 1) ** 2 - 1, (2 ** 31 - 1) ** 2,
+                  (2 ** 31 - 1) ** 2 + 1, 2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1,
+                  (2 ** 31 + 1) ** 2 - 1, (2 ** 31 + 1) ** 2]
+
+
+def _isqrt_mask(values):
+    return [v >= 0 and math.isqrt(v) ** 2 == v for v in values]
+
+
+def test_square_mask_matches_isqrt():
+    assert counting.is_square(np.array(_SQUARE_PROBES)).tolist() == _isqrt_mask(_SQUARE_PROBES)
+    big = [*_SQUARE_PROBES, 10 ** 40, (10 ** 20 + 1) ** 2, (10 ** 20 + 1) ** 2 - 1, -(10 ** 40)]
+    assert counting.is_square(np.array(big, dtype=object)).tolist() == _isqrt_mask(big)
+    assert counting.is_square(np.array([], dtype=np.int64)).tolist() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31))
+def test_square_mask_at_and_beside_each_square(k):
+    probes = [k * k - 1, k * k, k * k + 1]
+    assert counting.is_square(np.array(probes)).tolist() == _isqrt_mask(probes)
+
+
+def test_square_subset_is_the_same_on_python_int_columns():
+    # the oracle's columns are object arrays at N >= 2^31, the fast core's int64
+    inst = _instance(1, 3, 20, 20, 1, 1, _N_15 - 1, _N_15)
+    fast, naive = counting.enumerate_A_columns(inst), counting.enumerate_A_naive_columns(inst)
+    square = counting.rows(counting.enumerate_A_square(inst, fast))
+    assert square == counting.rows(counting.enumerate_A_square(inst, naive))
+    assert square == [q for q in counting.rows(fast) if _isqrt_mask([q[1] * q[0] - q[2] * q[3]])[0]]
+    assert 0 < len(square) < len(fast[0])
 
 
 def test_box_limit_error():
@@ -85,9 +138,9 @@ def test_bound_check_requires_approx():
 
 def test_bound_check_ratio_modest_on_example():
     inst = _instance(8, 10, 6, 6, u=3, n=7)
-    plain = counting.enumerate_A(inst)
+    plain = counting.enumerate_A_columns(inst)
     rep = counting.lemma10_bound_check(inst, "plain", plain)
-    assert rep["count"] == len(plain)
+    assert rep["count"] == len(counting.enumerate_A(inst))
     assert rep["ratio"] < 1e4
 
 
@@ -184,19 +237,33 @@ def test_ubound_value():
 
 def test_sweep_lemma10_enumerates_each_box_once(monkeypatch):
     calls = []
-    enumerate_a = counting.enumerate_A
-    monkeypatch.setattr(counting, "enumerate_A",
+    enumerate_a = counting.enumerate_A_columns
+    monkeypatch.setattr(counting, "enumerate_A_columns",
                         lambda inst: calls.append(inst) or enumerate_a(inst))
     rep = verify.sweep_lemma10(random.Random(3), n_instances=12)
     assert rep["instances"] == 12 and len(calls) == 12
     assert rep["max_ratio_square"] > 0
 
 
+def test_box_sweep_builds_no_tuples(monkeypatch):
+    # verify's box sweep compares and counts the cores' columns; the tuple
+    # wrappers serve the public API only
+    def refuse(inst):
+        raise AssertionError("the box sweep built tuples")
+    monkeypatch.setattr(counting, "enumerate_A", refuse)
+    monkeypatch.setattr(counting, "enumerate_A_naive", refuse)
+    rec, = verify.run_verify(verify.RunConfig(seed=0), "counting/box-bounds")["properties"]
+    saved = json.loads((Path(__file__).parent / "verify_seed0.json").read_text())
+    expected, = [p for p in saved["properties"] if p["id"] == "counting/box-bounds"]
+    assert json.loads(json.dumps(cli._jsonable(rec))) == expected
+
+
 def test_bound_check_reuses_the_plain_list(monkeypatch):
     inst = _instance(6, 9, 4, 5, u=2, n=7)
-    plain = counting.enumerate_A(inst)
-    monkeypatch.setattr(counting, "enumerate_A", None)   # no second enumeration
-    counts = {"plain": len(plain), "square": len(counting.enumerate_A_square(inst, plain))}
+    plain = counting.enumerate_A_columns(inst)
+    monkeypatch.setattr(counting, "enumerate_A_columns", None)   # no second enumeration
+    counts = {"plain": len(plain[0]),
+              "square": len(counting.enumerate_A_square(inst, plain)[0])}
     assert 0 < counts["square"] < counts["plain"]
     for which, count in counts.items():
         rep = counting.lemma10_bound_check(inst, which, plain)

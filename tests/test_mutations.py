@@ -35,7 +35,7 @@ def _record(prop_id):
 # version); a property without a boolean flag is judged by `passed` alone
 FAULTS = {
     "residue shifted by one in enumerate_A": (
-        "counting/box-bounds", "dual_oracle_ok", counting, "enumerate_A",
+        "counting/box-bounds", "dual_oracle_ok", counting, "enumerate_A_columns",
         "s = (t[point] - sf + ", "s = (t[point] - sf + 1 + "),
     "rho halved in the matrix oracle's box": (
         "counting/matrices-ubound", "all_equal", counting, "_oracle_box",
