@@ -28,10 +28,7 @@ from . import counting, exponents, kloosterman
 from .arithmetic import (THETA, DirichletCharacter, ResourceLimitError, SquarefreeModulus,
                          dirichlet_approximate, primes_in_interval)
 
-CONFIG_ENV_VAR = "SUPNORM_CONFIG"
-
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
@@ -58,15 +55,24 @@ def _jsonable(obj):
 
 
 def _atomic_write(text: str, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write through a temporary file in the target directory, then rename.
+    The file gets the mode a plain `open` would give under the umask, and a
+    path that cannot be written is a usage error (exit 2) naming it."""
+    umask = os.umask(0)  # reading the umask means setting it; restore at once
+    os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise click.BadParameter(f"cannot write {path}: {exc.strerror or exc}",
+                                     param_hint="'--output'") from None
         raise
 
 
@@ -450,26 +456,21 @@ def optimize_hybrid_cmd(output):
 
 @main.command("verify")
 @click.option("--selector", default="*", help="fnmatch pattern over property ids.")
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, envvar=CONFIG_ENV_VAR,
-              help=f"Config file (flat key=value); default ${CONFIG_ENV_VAR}.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)
+@click.option("--seed", type=int, default=0)
+@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @output_option
-def verify_cmd(selector, seed, config_path, fmt, output):
+@_bad_input()
+def verify_cmd(selector, seed, fmt, output):
     """Run the deterministic property suite; exit 1 if any property fails."""
     from . import verify
-    with _bad_input():
-        cfg = verify.load_config(config_path, seed=seed, output_format=fmt,
-                                 output_path=output)
-    report = verify.run_verify(cfg, selector)
-    if cfg.output_format == "csv":
+    report = verify.run_verify(verify.RunConfig(seed=seed), selector)
+    if fmt == "csv":
         _emit_csv(["id", "fitted_constant", "limit", "passed"],
                   [[rec["id"], repr(float(rec["fitted_constant"])),
                     repr(float(rec["limit"])), rec["passed"]]
-                   for rec in report["properties"]], cfg.output_path)
+                   for rec in report["properties"]], output)
     else:
-        _emit(report, cfg.output_path)
+        _emit(report, output)
     if not report["all_passed"]:
         sys.exit(EXIT_FAILURE)
 

@@ -33,43 +33,6 @@ from .arithmetic import DirichletCharacter, SquarefreeModulus, enumerate_charact
 @dataclass
 class RunConfig:
     seed: int = 0
-    output_format: str = "json"
-    output_path: str | None = None
-
-
-def _output_format(value: str) -> str:
-    if value not in ("json", "csv"):
-        raise ValueError(value)
-    return value
-
-
-_CONFIG_KEYS = {"seed": int, "output_format": _output_format, "output_path": str}
-
-
-def load_config(path: str | None, **flag_overrides) -> RunConfig:
-    """Flat key=value file, then flag overrides on top.  Raises ValueError,
-    naming the key, for an unknown key or a value that does not parse."""
-    cfg = RunConfig()
-    if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in _CONFIG_KEYS:
-                    raise ValueError(f"unknown config key {key!r} in {path}; "
-                                     f"accepted: {', '.join(_CONFIG_KEYS)}")
-                try:
-                    setattr(cfg, key, _CONFIG_KEYS[key](value))
-                except ValueError:
-                    raise ValueError(f"bad value {value!r} for config key {key!r} "
-                                     f"in {path}") from None
-    for key, value in flag_overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +406,16 @@ PROPERTIES = {prop.id: prop for prop in (
 
 
 def run_verify(config: RunConfig, selector: str = "*") -> dict:
+    """Run every property whose id matches `selector`; a selector that matches
+    none is a `ValueError`, not an empty pass."""
+    selected = [prop for prop in PROPERTIES.values() if fnmatch.fnmatch(prop.id, selector)]
+    if not selected:
+        raise ValueError(f"selector {selector!r} matches no property; "
+                         f"property ids: {', '.join(PROPERTIES)}")
     records = []
-    for prop in PROPERTIES.values():
-        if fnmatch.fnmatch(prop.id, selector):
-            rng = random.Random(config.seed ^ zlib.crc32(prop.id.encode()))
-            records.append(prop.record(prop.run(rng)))
+    for prop in selected:
+        rng = random.Random(config.seed ^ zlib.crc32(prop.id.encode()))
+        records.append(prop.record(prop.run(rng)))
     return {
         "version": 1,
         "seed": config.seed,
