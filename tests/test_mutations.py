@@ -66,7 +66,21 @@ FAULTS = {
     "c <= 2 returns 0 in kloosterman_sum": (
         "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
         "return complex((-1) ** ((m + n) % c))", "return 0j"),
+    # the ratio's ascending series below y = 4, and the far J_n of the grid
+    "ascending series summed in +y^2/4": (
+        "transforms/closed-vs-quadrature", None, specfun, "_ratio_series",
+        "polyval(-y * y / 4, c)", "polyval(y * y / 4, c)"),
+    "J_n quarter-turn table shifted by one quarter": (
+        "transforms/closed-vs-quadrature", None, transforms, "_bessel_j_on_grid",
+        "turn = (cos_q, sin_q, -cos_q, -sin_q)", "turn = (sin_q, -cos_q, -sin_q, cos_q)"),
 }
+
+
+def _clear_transform_caches():
+    # every cache in the module, so a new one cannot keep stale arrays
+    for cached in vars(transforms).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -74,14 +88,16 @@ def test_fault_fails_its_property(monkeypatch, fault):
     prop_id, flag, module, name, old, new = FAULTS[fault]
     rec = _record(prop_id)
     assert rec["passed"] and (flag is None or rec["detail"][flag] is True)
-    _mutate(monkeypatch, module, name, old, new)
-    rec = _record(prop_id)
+    # the transform kernels are cached, so the faulty run starts cold and
+    # leaves nothing it computed behind
+    _clear_transform_caches()
+    try:
+        with monkeypatch.context() as patch:
+            _mutate(patch, module, name, old, new)
+            rec = _record(prop_id)
+    finally:
+        _clear_transform_caches()
     assert not rec["passed"] and (flag is None or rec["detail"][flag] is False)
-
-
-def _clear_transform_caches():
-    for cached in (transforms._grid, transforms._bessel_j_on_grid, transforms._imj_ratio_on_grid):
-        cached.cache_clear()
 
 
 @pytest.mark.parametrize("cut", [2e3, 4e3])

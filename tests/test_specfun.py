@@ -68,14 +68,32 @@ def test_bessel_k_imag_even_in_t_and_t_zero():
     assert specfun.bessel_k_imag(0.0, 1.5) == pytest.approx(float(special.kv(0, 1.5)))
 
 
-@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-def test_y_pair_ratio_against_mpmath(t):
-    # both branches: the contour integral below y = 150 and Hankel's expansion above
-    y = np.geomspace(1e-3, 2e3, 41)
-    ours = specfun.y_pair_ratio(t, y)
+def _ratio_mpmath(t, y):
     with mp.workdps(30 + int(3 * t)):
-        ref = [float(mp.besselj(2j * mp.mpf(t), mp.mpf(v)).imag / mp.sinh(mp.pi * t)) for v in y]
-    assert np.max(np.abs(ours - ref)) <= 1e-12
+        return np.array([float(mp.besselj(2j * mp.mpf(t), mp.mpf(v)).imag / mp.sinh(mp.pi * t))
+                         for v in y])
+
+
+@pytest.mark.parametrize("t", [0.02, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+def test_y_pair_ratio_against_mpmath(t):
+    # every regime: the ascending series below y = 4 (at 0.05 <= t <= 10), the
+    # contour integral, and Hankel's expansion from y = max(40, 2.5 t^2), with
+    # points on both sides of each cut
+    cuts = (specfun._SERIES_CUT, specfun.hankel_cut(-16.0 * t * t))
+    y = np.concatenate([np.geomspace(1e-3, 2e3, 41),
+                        *(c * np.array([0.99, 1 - 1e-12, 1.0, 1.01]) for c in cuts)])
+    ours = specfun.y_pair_ratio(t, y)
+    assert np.max(np.abs(ours - _ratio_mpmath(t, y))) <= 2e-14
+
+
+@pytest.mark.parametrize("t", [0.1, 2.0, 5.0])
+def test_ratio_hankel_phase_is_exact_at_large_y(t):
+    # cos and sin of y - pi/4 come from cos y and sin y: y - pi/4 rounded
+    # first is off by up to half an ulp of y, which read 5.3e-13 of the
+    # amplitude sqrt(2/(pi y)) on this range
+    y = np.linspace(2e3, 1e4, 61)
+    err = np.abs(specfun.y_pair_ratio(t, y) - _ratio_mpmath(t, y))
+    assert np.max(err / np.sqrt(2 / (math.pi * y))) <= 1e-15
 
 
 @pytest.mark.parametrize("t", [20.0, 30.0, 40.0])
@@ -89,9 +107,11 @@ def test_y_pair_ratio_at_a_single_large_point_against_mpmath(t, y):
     assert abs(ours - ref) <= 1e-12
 
 
-@pytest.mark.parametrize("t, y", [(0.0, 1e-300), (3.0, 1e-200), (0.3, 1e-155)])
+@pytest.mark.parametrize("t, y", [(0.0, 1e-300), (3.0, 1e-200), (0.3, 1e-155),
+                                  (0.02, 1e-155), (20.0, 1e-200)])
 def test_y_pair_ratio_where_y_squared_underflows(t, y):
-    # below y = 1e-150 a band takes np.hypot, since y^2 + p^2 would underflow to 0
+    # below y = 1e-150 a contour band takes np.hypot, since y^2 + p^2 would
+    # underflow to 0 (t = 0, 0.02 and 20); the series (t = 0.3, 3) sums c_0 alone
     ours = float(specfun.y_pair_ratio(t, [y])[0])
     with mp.workdps(40):
         ref = (mp.bessely(0, mp.mpf(y)) if t == 0
@@ -137,10 +157,13 @@ def test_imaginary_order_evaluators_at_t_zero_match_scipy():
 
 
 def test_imaginary_order_evaluators_do_not_depend_on_blocking(monkeypatch):
+    # at t = 0.02 the ratio takes the contour at every y below 40
     y = np.geomspace(1e-2, 140, 50)
-    whole = specfun.y_pair_ratio(2.0, y), specfun.k_imag_scaled(3.0, y)
+    evaluate = lambda: (specfun.y_pair_ratio(2.0, y), specfun.y_pair_ratio(0.02, y),
+                        specfun.k_imag_scaled(3.0, y))
+    whole = evaluate()
     monkeypatch.setattr(specfun, "_BLOCK", 64)
-    blocked = specfun.y_pair_ratio(2.0, y), specfun.k_imag_scaled(3.0, y)
+    blocked = evaluate()
     for a, b in zip(whole, blocked):
         assert b == pytest.approx(a, rel=1e-14, abs=1e-16)
 
@@ -148,9 +171,11 @@ def test_imaginary_order_evaluators_do_not_depend_on_blocking(monkeypatch):
 def test_imaginary_order_row_sums_do_not_depend_on_blocking(monkeypatch):
     # each row is summed by numpy's own reduction over that row alone
     y = np.geomspace(1e-3, 140, 70)
-    whole = specfun.y_pair_ratio(0.5, y), specfun.k_imag_scaled(7.0, y)
+    evaluate = lambda: (specfun.y_pair_ratio(0.5, y), specfun.y_pair_ratio(0.02, y),
+                        specfun.k_imag_scaled(7.0, y))
+    whole = evaluate()
     monkeypatch.setattr(specfun, "_BLOCK", 300)
-    blocked = specfun.y_pair_ratio(0.5, y), specfun.k_imag_scaled(7.0, y)
+    blocked = evaluate()
     for a, b in zip(whole, blocked):
         assert np.array_equal(a, b)
 

@@ -126,6 +126,34 @@ def test_cold_sweep_computes_each_bessel_order_once():
     assert transforms._bessel_j_on_grid.cache_info().misses == 7
 
 
+@pytest.mark.parametrize("order", [1, 3, 5, 7, 8, 10, 12, 13, 20, 30])
+def test_grid_bessel_j_matches_scipy_at_every_node(order):
+    # Hankel's expansion from y = 150 (from 0.625 order^2 past order 15), jv below
+    y = transforms._grid()[0]
+    assert np.max(np.abs(transforms._bessel_j_on_grid(order) - special.jv(order, y))) <= 1e-16
+
+
+def test_grid_sends_only_the_middle_band_to_the_contour(monkeypatch):
+    # the series takes y < 4 and Hankel's expansion y >= max(40, 2.5 t^2), so
+    # of the 26,016 nodes the contour gets 114 at t <= 4 (925 before the
+    # series and the lower Hankel cut) and 169 at t = 5
+    rows = []
+    contour = specfun._ratio_contour
+    monkeypatch.setattr(specfun, "_ratio_contour",
+                        lambda t, y: rows.append(len(y)) or contour(t, y))
+    transforms._imj_ratio_on_grid.cache_clear()
+    try:
+        for t in verify.TRANSFORM_TS:
+            transforms._imj_ratio_on_grid(t)
+    finally:
+        transforms._imj_ratio_on_grid.cache_clear()
+    y = transforms._grid()[0]
+    between = [int(np.count_nonzero((y >= specfun._SERIES_CUT)
+                                    & (y < specfun.hankel_cut(-16.0 * t * t))))
+               for t in verify.TRANSFORM_TS]
+    assert rows == between == [114, 114, 114, 114, 169]
+
+
 def _dot_integral_on_old_grid(tf, k, y_max=5e4):
     """int J_{k-1} J_A y^(-B-1) dy on the grid the discrete transform used
     before its cut was stated: the same panels, run on to y_max."""

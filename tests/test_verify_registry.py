@@ -71,7 +71,8 @@ CASES = {
          ("C2 above limit", {"C2": 100.01}, False),
          ("C3 above limit", {"C3": 100.01}, False),
          ("slopes at tolerance", {"slopes": {2: -1.8, 3: -2.8}}, True),
-         ("j=2 slope too flat", {"slopes": {2: -1.79, 3: -3.5}}, False),
+         # both keys hold the one slope of `sweep_lemma4`, gated at -2.8
+         ("one slope too flat under both keys", {"slopes": {2: -2.79, 3: -2.79}}, False),
          ("j=3 slope too flat", {"slopes": {2: -3.5, 3: -2.79}}, False)]),
     "oscillatory/kernel-integrals": (
         {"bound1_constant": 4.1, "bound2_constant": 27.0},
