@@ -16,13 +16,15 @@ list of tuples.  `enumerate_R_N_matrices` tests u with the float
 instance (`_oracle_box`, which provably holds every g with u(z, gz) < delta)
 and tests the closed form for u with a stated rounding margin and exact
 `Fraction` fallback (`_u_below`).  `count_admissible_a` walks the units in
-numpy blocks and checks the ones in the box exactly.
+numpy blocks and checks the ones in the box exactly, with int64 masks.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,9 +149,19 @@ def enumerate_A_naive_columns(inst: CountingInstance) -> Columns:
     return c[ic], s[i_s], r1[i1], r2[i2]
 
 
-def rows(cols: Columns) -> list[tuple]:
-    """The quadruples of four columns as a list of tuples of Python integers."""
-    return list(zip(*(v.tolist() for v in cols)))
+def rows(cols: Sequence[np.ndarray]) -> list[tuple]:
+    """The rows of equal-length integer columns as a list of tuples of Python
+    integers.  The cyclic collector is paused while the tuples are built: they
+    hold only ints, so no cycle can form among them, and a pass in the middle
+    of the build would only rescan them (or the whole heap, in a full pass).
+    The caller's collector state is restored, never enabled if it was off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(zip(*(v.tolist() for v in cols)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_A(inst: CountingInstance) -> list[tuple]:
@@ -250,22 +262,16 @@ def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
 
     The walk up to the box is numpy passes over blocks of units: the sieve and
     the batch inverse of `arithmetic`, then int64 residues (l1 is reduced mod m
-    first, so every product stays below m^2 <= BOX_LIMIT^2 < 2^63).  Only the
-    units in the box reach the exact checks, in increasing a."""
+    first, so every product stays below m^2 <= BOX_LIMIT^2 < 2^63).  The checks
+    are int64 masks over the in-box columns, with each constant recomputed from
+    the instance (not taken from the walk) and reduced first: with |r| <= m/2
+    and e_i = d_i*u*c mod m, |(e1 + r1)(e2 + r2)| < (3m/2)^2 <= 2.25e18 < 2^63;
+    |r1*r2|, |r1*m + r2| <= m^2/2 + m; and s mod p^need is
+    (r1*r2 + l1*l2) mod c*p^need, divided by c, with c*p^need <= c^2 <= 10^18.
+    Only the flagged units become tuples, in increasing a."""
     m = inst.N.value * inst.c
     if m > BOX_LIMIT:
         raise BoxLimitError(f"modulus {m} exceeds cap {BOX_LIMIT}")
-    pairs: dict[tuple, int] = {}
-    congruence_violations = []
-    valuation_violations = []
-    g = math.gcd(inst.c, math.gcd(inst.l1, inst.l2))
-    # per prime p | c, the power p^need that must divide a non-zero s
-    divisors = []
-    for p in factorint(inst.c):
-        vl1, vl2, vc = (p_adic_valuation(x, p) for x in (inst.l1, inst.l2, inst.c))
-        need = min(vl1 + vl2 - vc, vl1, vl2, vc)
-        if need > 0:
-            divisors.append((p, p ** need))
     l1, l2 = inst.l1 % m, inst.l2 % m
     k1, k2 = inst.d1 * inst.u * inst.c % m, inst.d2 * inst.u * inst.c % m
     in_box = []
@@ -273,28 +279,41 @@ def count_admissible_a(inst: CongruenceReductionInstance) -> dict:
         r1 = _centered(l1 * batch_inverse(a, m) - k1, m)
         r2 = _centered(-l2 * a - k2, m)
         keep = (np.abs(r1) <= inst.R1) & (np.abs(r2) <= inst.R2)
-        in_box += zip(a[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())
+        in_box.append((a[keep], r1[keep], r2[keep]))
     # mod m = 1 the sieve's one unit is a = 0, not 1, but no check can fail there
-    for a, r1, r2 in in_box:
-        pairs[(r1, r2)] = pairs.get((r1, r2), 0) + 1
-        lhs = (inst.d1 * inst.u * inst.c + r1) * (inst.d2 * inst.u * inst.c + r2) + inst.l1 * inst.l2
-        if lhs % m != 0:
-            congruence_violations.append((a, r1, r2))
-            continue
-        num = r1 * r2 + inst.l1 * inst.l2
-        s, rem = divmod(num, inst.c)
-        if rem != 0:
-            valuation_violations.append((a, r1, r2, "c does not divide r1*r2 + l1*l2"))
-            continue
-        if s != 0:
-            for p, pk in divisors:
-                if s % pk:
-                    valuation_violations.append((a, r1, r2, p))
+    a, r1, r2 = (np.concatenate(v) for v in zip(*in_box))
+    c, l1l2 = inst.c, inst.l1 * inst.l2
+    e1, e2 = inst.u * c * inst.d1 % m, inst.u * c * inst.d2 % m
+    r1r2 = r1 * r2
+    # each mask ignores the others; a unit is reported under the first check it fails
+    congruence_bad = ((e1 + r1) * (e2 + r2) + l1l2 % m) % m != 0
+    division_bad = (r1r2 + l1l2 % c) % c != 0
+    flagged = congruence_bad | division_bad
+    power_bad = []      # per prime p | c, the units whose s is not divisible by p^need
+    for p in factorint(c):
+        vl1, vl2, vc = (p_adic_valuation(x, p) for x in (inst.l1, inst.l2, c))
+        need = min(vl1 + vl2 - vc, vl1, vl2, vc)
+        if need > 0:
+            cpk = c * p ** need
+            bad = (r1r2 + l1l2 % cpk) % cpk // c != 0
+            power_bad.append((p, bad))
+            flagged |= bad
+    congruence_violations, valuation_violations = [], []
+    for i in np.flatnonzero(flagged).tolist():
+        unit = (int(a[i]), int(r1[i]), int(r2[i]))
+        if congruence_bad[i]:
+            congruence_violations.append(unit)
+        elif division_bad[i]:
+            valuation_violations.append(unit + ("c does not divide r1*r2 + l1*l2",))
+        else:
+            valuation_violations += [unit + (p,) for p, bad in power_bad if bad[i]]
+    # r1*m + r2 names (r1, r2), as two centered r2 differ by less than m
+    _, multiplicity = np.unique(r1 * m + r2, return_counts=True)
     return {
-        "num_a": len(in_box),
-        "num_rs_pairs": len(pairs),
-        "max_multiplicity": max(pairs.values(), default=0),
-        "multiplicity_bound": g,
+        "num_a": len(a),
+        "num_rs_pairs": len(multiplicity),
+        "max_multiplicity": int(multiplicity.max(initial=0)),
+        "multiplicity_bound": math.gcd(c, inst.l1, inst.l2),
         "congruence_violations": congruence_violations,
         "valuation_violations": valuation_violations,
     }
@@ -483,7 +502,7 @@ def enumerate_matrices_naive(inst: MatrixCountInstance,
             cands.append((a[on][fit], b[fit], np.full(fit.sum(), c), d[on][fit]))
     cand = [np.concatenate(v) for v in zip(*cands)]
     below = _u_below(inst, *cand)
-    return sorted(zip(*(v[below].tolist() for v in cand)))
+    return sorted(rows([v[below] for v in cand]))
 
 
 def _u_below(inst: MatrixCountInstance, a, b, c, d) -> np.ndarray:

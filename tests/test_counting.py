@@ -1,13 +1,15 @@
+import gc
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from supnorm import cli, counting, verify
 from supnorm.arithmetic import SquarefreeModulus, dirichlet_approximate, p_adic_valuation
@@ -341,10 +343,50 @@ def test_enumerate_A_does_not_depend_on_block_size(monkeypatch):
         assert counting.enumerate_A(inst) == whole
 
 
+# -- rows: columns to tuples with the cyclic collector paused ----------------
+
+def test_rows_gives_tuples_of_python_ints():
+    out = counting.rows(counting.enumerate_A_columns(_instance(4, 10, 5, 5, u=5)))
+    assert out and all(type(v) is int for row in out for v in row)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_rows_leaves_the_collector_as_it_found_it(enabled):
+    cols = counting.enumerate_A_columns(_instance(4, 10, 5, 5, u=5))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        counting.rows(cols)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_rows_starts_no_collection():
+    # a box of the benchmark's first stratum: 34,144 rows, whose tuples start
+    # about 45 collections when they are built with the collector on
+    cols = counting.enumerate_A_columns(_instance(12, 40, 16, 16, d1=1, d2=2, u=3, n=31))
+    started = []
+
+    def watch(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not counting.rows.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started.append(info["generation"])
+    gc.callbacks.append(watch)
+    try:
+        out = counting.rows(cols)
+    finally:
+        gc.callbacks.remove(watch)
+    assert len(out) >= 30_000 and started == []
+
+
 # -- admissible residues: the vectorised walk against the per-unit loop -------
 
-def _admissible_loop(inst):
-    """The per-unit loop the vectorised walk replaced, kept as its reference."""
+def _admissible_loop(inst, inverse=lambda a, m: pow(a, -1, m)):
+    """The per-unit loop the vectorised walk and checks replaced, kept as their
+    reference; `inverse` stands in for the inverse mod m."""
     m = inst.N.value * inst.c
 
     def centered(v):
@@ -354,7 +396,7 @@ def _admissible_loop(inst):
     for a in range(1, m + 1):
         if math.gcd(a, m) != 1:
             continue
-        r1 = centered(inst.l1 * pow(a, -1, m) - inst.d1 * inst.u * inst.c)
+        r1 = centered(inst.l1 * inverse(a, m) - inst.d1 * inst.u * inst.c)
         r2 = centered(-inst.l2 * a - inst.d2 * inst.u * inst.c)
         if abs(r1) > inst.R1 or abs(r2) > inst.R2:
             continue
@@ -403,6 +445,38 @@ def test_count_admissible_a_does_not_depend_on_block_size(monkeypatch):
     assert whole["num_a"] > whole["num_rs_pairs"] > 0
     monkeypatch.setattr(counting, "_UNIT_BLOCK", 5)
     assert counting.count_admissible_a(inst) == whole
+
+
+# N from the congruence sweep's levels; c = k b^2 and l_i divisible by b^(j_i),
+# so a prime p | b has need = min(v(l1) + v(l2) - v(c), ...) > 0 whenever
+# j1 + j2 > 2, and l1 l2 reaches past 2^63
+_L_FACTOR = st.one_of(st.integers(1, 30), st.integers(10 ** 9, 10 ** 12))
+_RADIUS = st.one_of(st.integers(0, 4000), st.just(math.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 15, 21, 33, 35]), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2), st.integers(0, 2), _L_FACTOR, _L_FACTOR,
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 10), _RADIUS, _RADIUS)
+@example(7, 3, 2, 2, 2, 10 ** 12, 10 ** 12 - 1, 1, 1, 1, math.inf, math.inf)
+def test_count_admissible_a_matches_the_unit_loop_on_drawn_instances(
+        n, k, b, j1, j2, x1, x2, d1, d2, u, R1, R2):
+    l1, l2 = b ** j1 * x1, b ** j2 * x2
+    assume(math.gcd(l1 * l2, n) == 1)
+    inst = CongruenceReductionInstance(l1=l1, l2=l2, d1=d1, d2=d2, c=k * b * b, u=u,
+                                       N=SquarefreeModulus.from_int(n), R1=R1, R2=R2)
+    assert counting.count_admissible_a(inst) == _admissible_loop(inst)
+
+
+def test_count_admissible_a_reports_violations_as_the_unit_loop(monkeypatch):
+    # a walk with a wrong inverse puts units in the box that break the product
+    # congruence; the checks must flag the same units, in the same order
+    monkeypatch.setattr(counting, "batch_inverse", lambda a, m: a)
+    inst = CongruenceReductionInstance(l1=8, l2=12, d1=1, d2=2, c=12, u=1,
+                                       N=SquarefreeModulus.from_int(35), R1=100, R2=150)
+    rep = counting.count_admissible_a(inst)
+    assert len(rep["congruence_violations"]) > 10
+    assert rep == _admissible_loop(inst, inverse=lambda a, m: a)
 
 
 @pytest.mark.parametrize("radii", [(math.nan, 5), (5, math.nan)])

@@ -34,6 +34,14 @@ def _record(prop_id):
 # (property, failing flag or None, module, function, line fragment, its faulty
 # version); a property without a boolean flag is judged by `passed` alone
 FAULTS = {
+    # the checks take d1*u*c from the instance, not from the walk, so a walk
+    # that builds r1 from d2 puts units in the box that break the congruence
+    "k1 built from d2 in count_admissible_a": (
+        "counting/congruence-reduction", None, counting, "count_admissible_a",
+        "k1, k2 = inst.d1 * inst.u", "k1, k2 = inst.d2 * inst.u"),
+    "sign of r2 flipped in count_admissible_a's walk": (
+        "counting/congruence-reduction", None, counting, "count_admissible_a",
+        "_centered(-l2 * a - k2, m)", "_centered(l2 * a - k2, m)"),
     "residue shifted by one in enumerate_A": (
         "counting/box-bounds", "dual_oracle_ok", counting, "enumerate_A_columns",
         "s = (t[point] - sf + ", "s = (t[point] - sf + 1 + "),
