@@ -126,6 +126,15 @@ def _parse_char(spec: str | None) -> DirichletCharacter:
     raise click.UsageError(f"unknown character kind {kind!r}")
 
 
+def _spectral(k: int | None, t: float | None):
+    """The archimedean parameter of exactly one of --k (a holomorphic weight)
+    and --t (a Maass spectral parameter)."""
+    from .specfun import ArchimedeanParameter
+    if (k is None) == (t is None):
+        raise click.UsageError("exactly one of --k / --t is required")
+    return ArchimedeanParameter.maass(t) if k is None else ArchimedeanParameter.holomorphic(k)
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -186,25 +195,14 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
         if order is None:
             raise click.UsageError("--order required for J")
         value = specfun.bessel_j(order, y)
-    elif fn == "Kimag":
+    elif fn in ("Kimag", "Ypair"):
         if t is None:
-            raise click.UsageError("--t required for Kimag")
-        value = specfun.bessel_k_imag(t, y)
-    elif fn == "Ypair":
-        if t is None:
-            raise click.UsageError("--t required for Ypair")
-        value = specfun.bessel_y_imag_pair(t, y)
+            raise click.UsageError(f"--t required for {fn}")
+        value = (specfun.bessel_k_imag if fn == "Kimag" else specfun.bessel_y_imag_pair)(t, y)
+    elif fn == "W":
+        value = specfun.whittaker_weight(_spectral(k, t), y)
     else:
-        if k is not None:
-            param = specfun.ArchimedeanParameter.holomorphic(k)
-        elif t is not None:
-            param = specfun.ArchimedeanParameter.maass(t)
-        else:
-            raise click.UsageError("--k or --t required for W/kernel")
-        if fn == "W":
-            value = specfun.whittaker_weight(param, y)
-        else:
-            value = specfun.voronoi_kernel(param, sign, y)
+        value = specfun.voronoi_kernel(_spectral(k, t), sign, y)
     _emit({"fn": fn, "y": y, "value": value}, output)
 
 
@@ -233,12 +231,11 @@ def bessel_verify_cmd(output):
 def transform_cmd(a_deg, b_deg, k, t, method, output):
     """Spectral transform of the test function, closed form and/or quadrature."""
     from . import transforms
-    if (k is None) == (t is None):
-        raise click.UsageError("exactly one of --k / --t is required")
+    param = _spectral(k, t)
     tf = transforms.TestFunction(a_deg, b_deg)
     rep: dict = {"A": a_deg, "B": b_deg}
     closed = quad = None
-    if k is not None:
+    if param.kind == "holomorphic":
         rep["k"] = k
         if method in ("closed", "both"):
             closed = transforms.dot_transform_closed_value(tf, k)
@@ -288,26 +285,18 @@ def decay_cmd(z_scale, t_scale, alpha, j, output):
 
 
 @main.command("vintegral")
-@click.option("--kind", type=click.Choice(["holomorphic", "maass"]), required=True)
-@click.option("--k", type=int, default=None)
-@click.option("--t", type=float, default=None)
+@click.option("--k", type=int, default=None, help="Holomorphic weight (even).")
+@click.option("--t", type=float, default=None, help="Spectral parameter.")
 @click.option("--sign", type=click.Choice(["+", "-"]), default="+")
 @click.option("--z", "--Z", "z_scale", type=float, required=True)
 @click.option("--t-scale", "--T", type=float, required=True)
 @click.option("--alpha", type=float, required=True)
 @output_option
 @_bad_input()
-def vintegral_cmd(kind, k, t, sign, z_scale, t_scale, alpha, output):
+def vintegral_cmd(k, t, sign, z_scale, t_scale, alpha, output):
     """Window-against-kernel integral with both envelope ratios."""
-    from . import oscillatory, specfun
-    if kind == "holomorphic":
-        if k is None:
-            raise click.UsageError("--k required for holomorphic")
-        param = specfun.ArchimedeanParameter.holomorphic(k)
-    else:
-        if t is None:
-            raise click.UsageError("--t required for maass")
-        param = specfun.ArchimedeanParameter.maass(t)
+    from . import oscillatory
+    param = _spectral(k, t)
     w = oscillatory.SmoothWindow(z_scale, t_scale)
     val = oscillatory.voronoi_integral(w, param, sign, alpha)
     rep = {"value": val, "bound1": oscillatory.lemma6_bound1(z_scale, param.t_star, alpha)}

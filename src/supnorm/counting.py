@@ -71,8 +71,10 @@ class CountingInstance:
         n = self.N.value
         return dirichlet_approximate(Fraction(self.u, n), n if self.H is None else self.H)
 
-    def box_volume(self) -> float:
-        return self.C * (2 * self.S + 1) * (2 * self.R + 1) * (2 * self.R_tilde + 1)
+    def check_box_volume(self) -> None:
+        volume = self.C * (2 * self.S + 1) * (2 * self.R + 1) * (2 * self.R_tilde + 1)
+        if volume > BOX_LIMIT:
+            raise BoxLimitError(f"box volume {volume:.3g} exceeds cap {BOX_LIMIT:.3g}")
 
 
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -92,8 +94,7 @@ def enumerate_A_columns(inst: CountingInstance) -> Columns:
     Residues are int64 for N < 2^31 (every |c|, |r| < 2^31 under `BOX_LIMIT`,
     so each product stays below 2^62) and Python integers above; the columns
     themselves are box coordinates, int64 at every N."""
-    if inst.box_volume() > BOX_LIMIT:
-        raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
+    inst.check_box_volume()
     n, u, sf = inst.N.value, inst.u, math.floor(inst.S)
     c_axis = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C))
     r1 = np.arange(-math.floor(inst.R), math.floor(inst.R) + 1)
@@ -129,8 +130,7 @@ def enumerate_A_naive_columns(inst: CountingInstance) -> Columns:
     then `np.unravel_index`), whose C order is lexicographic.
     The axes, and so the columns, are int64 for N < 2^31, where no residue sum
     reaches 2^63, and Python integers (object arrays) above."""
-    if inst.box_volume() > BOX_LIMIT:
-        raise BoxLimitError(f"box volume {inst.box_volume():.3g} exceeds cap {BOX_LIMIT:.3g}")
+    inst.check_box_volume()
     n, u = inst.N.value, inst.u
     exact = object if n >= 2 ** 31 else np.int64
     c = np.arange(math.ceil(inst.C), math.ceil(2 * inst.C)).astype(exact)

@@ -96,9 +96,4 @@ def kloosterman_weil_check(q: KloostermanQuery) -> dict:
     value = kloosterman_sum(q)
     g = math.gcd(math.gcd(q.m, q.n), q.c)
     bound = divisor_count(q.c) * math.sqrt(g) * math.sqrt(q.c)
-    return {
-        "value": value,
-        "abs": abs(value),
-        "bound": bound,
-        "ratio": abs(value) / bound,
-    }
+    return {"value": value, "bound": bound, "ratio": abs(value) / bound}

@@ -32,10 +32,12 @@ evaluators, in float64 throughout; their independent oracles are in the tests.
 
 Every integral in the package is summed on the one 16-node Gauss-Legendre
 rule, built here on first use (`gauss_legendre_nodes`, and
-`gauss_legendre_panels` for equal panels).  `check_ibp_identity` integrates
-both sides of the one-step integration-by-parts identity for J, Y and K on
-16 equal panels over the support of the smooth weight, whose derivative it
-takes by central differences.  Every "<<" inequality is tested with a single
+`gauss_legendre_panels` for equal panels).  Past `_MAX_PANELS` panels, equal
+or radial, a ResourceLimitError is raised before any node array is built.
+`check_ibp_identity` integrates both sides of the one-step
+integration-by-parts identity for J, Y and K on 16 equal panels over the
+support of the smooth weight, whose derivative it takes by central
+differences.  Every "<<" inequality is tested with a single
 fitted calibration constant which the caller (and the test suite) pins.
 """
 
@@ -57,6 +59,21 @@ from .arithmetic import ResourceLimitError
 # archimedean parameter
 # ---------------------------------------------------------------------------
 
+def even_weight(k: int) -> int:
+    """k, once checked to be a holomorphic weight: an even integer >= 2."""
+    if k < 2 or k % 2 != 0:
+        raise ValueError(f"holomorphic weight must be an even integer >= 2, got {k}")
+    return k
+
+
+def finite_order(t: float) -> float:
+    """|t| for the imaginary order it, once t is checked finite."""
+    t = abs(float(t))
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class ArchimedeanParameter:
     kind: str  # "holomorphic" | "maass"
@@ -65,9 +82,7 @@ class ArchimedeanParameter:
 
     @classmethod
     def holomorphic(cls, k: int) -> "ArchimedeanParameter":
-        if k < 2 or k % 2 != 0:
-            raise ValueError(f"holomorphic weight must be an even integer >= 2, got {k}")
-        return cls(kind="holomorphic", k=k, t=(k - 1) / 2)
+        return cls(kind="holomorphic", k=even_weight(k), t=(k - 1) / 2)
 
     @classmethod
     def maass(cls, t: float) -> "ArchimedeanParameter":
@@ -83,10 +98,9 @@ class ArchimedeanParameter:
 # ---------------------------------------------------------------------------
 
 def bessel_j(order, y: float) -> float:
-    if not (math.isfinite(order) and math.isfinite(y)):
-        raise ValueError(f"order and argument must be finite, got {order}, {y}")
-    if y <= 0:
-        raise ValueError(f"argument must be positive, got {y}")
+    if not math.isfinite(order):
+        raise ValueError(f"order must be finite, got {order}")
+    (y,) = _positive_array(y).tolist()
     return float(special.jv(order, y))
 
 
@@ -103,7 +117,7 @@ _HANKEL_CUT = 40.0
 _SERIES_CUT = 4.0
 _SERIES_T = (0.05, 10.0)
 _TERMS = 24  # terms of each series; the first left out is below 1.8e-15 of the leading one
-_MAX_PANELS = 2 ** 17  # radial panels; |t| = 1e4 needs about 1.1e5 at y = 1e-3
+_MAX_PANELS = 2 ** 17  # panels per integral; |t| = 1e4 needs about 1.1e5 radial at y = 1e-3
 
 
 @functools.cache
@@ -141,11 +155,13 @@ def _radial_nodes(omega: float, p_min: float, p_max: float):
     is min(p, _PANEL_PHASE p / (omega + 2p)) wide: geometric where the
     log-oscillation dominates, uniform beyond.  The first, from 0, has the
     rate bound omega/(4 p_min) + 2 in place of omega/p + 2.  Neither rule can
-    overflow.  Raises past _MAX_PANELS panels, before any node array is built."""
+    overflow.  Raises ResourceLimitError past _MAX_PANELS panels, before any
+    node array is built; the edge list then holds at most 2^17 + 2 floats,
+    about 4 MiB, at any frequency."""
     edges = [0.0, min(p_min, _PANEL_PHASE * 4 * p_min / (omega + 8 * p_min))]
     while edges[-1] < p_max:
         if len(edges) > _MAX_PANELS:
-            raise ValueError(f"frequency {omega:g} needs more than {_MAX_PANELS} panels")
+            raise ResourceLimitError(f"radial panels for frequency {omega:g} exceed cap {_MAX_PANELS}")
         p = edges[-1]
         edges.append(p + min(p, _PANEL_PHASE * p / (omega + 2 * p)))
     return gauss_legendre_nodes(edges)
@@ -180,7 +196,7 @@ def _positive_array(y, scale: float = 1.0) -> np.ndarray:
         v = y[bad][0]
         if 0 < v < math.inf:
             raise ValueError(f"argument must be below {sys.float_info.max / scale:.3g}, got {v}")
-        raise ValueError(f"argument must be {'finite' if v > 0 else 'positive'}, got {v}")
+        raise ValueError(f"argument must be {'positive' if v <= 0 else 'finite'}, got {v}")
     return y
 
 
@@ -275,9 +291,7 @@ def y_pair_ratio(t: float, y) -> np.ndarray:
     over a 1-d array of y > 0; real, even in t, and Y_0(y) at t = 0.  The
     ascending series below y = 4 when 0.05 <= t <= 10, Hankel's expansion from
     y = max(40, 2.5 t^2), the contour integral in between."""
-    t = abs(float(t))
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = finite_order(t)
     y = _positive_array(y)
     out = np.empty_like(y)
     far = y >= hankel_cut(-16.0 * t * t)
@@ -297,9 +311,7 @@ def k_imag_scaled(t: float, y) -> np.ndarray:
     capped at pi/2 - 1/t (and at 0 when that is negative) so the decay rate
     y cos theta stays positive.  The factor exp(-y cos theta - t theta) is
     carried in the log domain, so K stays relatively accurate where it is e^-300."""
-    t = abs(float(t))
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = finite_order(t)
     y = _positive_array(y)
     cap = math.pi / 2 - 1 / t if t > 2 / math.pi else 0.0
     theta = np.minimum(np.arcsin(np.minimum(1.0, t / y)), cap)

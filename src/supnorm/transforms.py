@@ -33,8 +33,8 @@ import numpy as np
 from scipy import special
 
 from .arithmetic import THETA
-from .specfun import (gauss_legendre_panels, hankel_cut, hankel_pq, quarter_phase, read_only,
-                      y_pair_ratio)
+from .specfun import (even_weight, finite_order, gauss_legendre_panels, hankel_cut, hankel_pq,
+                      quarter_phase, read_only, y_pair_ratio)
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,9 @@ def _closed_product(tf: TestFunction, spectral_sq: Fraction) -> Fraction:
     return coeff
 
 
-def _check_weight(k: int) -> None:
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"k must be an even integer >= 2, got {k}")
-
-
 def dot_transform_closed(tf: TestFunction, k: int) -> Fraction:
     """Exact coefficient c with transform value c/pi, at even k >= 2."""
-    _check_weight(k)
-    return _closed_product(tf, -Fraction(k - 1, 2) ** 2)
+    return _closed_product(tf, -Fraction(even_weight(k) - 1, 2) ** 2)
 
 
 def dot_transform_closed_value(tf: TestFunction, k: int) -> float:
@@ -99,9 +93,7 @@ def tilde_transform_closed_exact(tf: TestFunction, t_squared: Fraction) -> Fract
 
 def tilde_transform_closed(tf: TestFunction, t: float) -> float:
     """The exact coefficient at the float t, correctly rounded, over pi."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    return float(_closed_product(tf, Fraction(t) ** 2)) / math.pi
+    return float(_closed_product(tf, Fraction(finite_order(t)) ** 2)) / math.pi
 
 
 def positivity_certificate(tf: TestFunction) -> dict:
@@ -192,8 +184,7 @@ def _quadrature(kernel: np.ndarray, tf: TestFunction) -> float:
 
 def dot_transform_quadrature(tf: TestFunction, k: int) -> float:
     """i^k int_0^inf J_{k-1}(y) phi(y) dy / y by panel quadrature."""
-    _check_weight(k)
-    sign = (-1) ** (k // 2) * tf.sign
+    sign = (-1) ** (even_weight(k) // 2) * tf.sign
     return sign * _quadrature(_bessel_j_on_grid(k - 1), tf)
 
 
@@ -206,8 +197,7 @@ def dot_truncation_bound(tf: TestFunction, k: int) -> float:
     sqrt(c_{k-1} c_A) Y^(-B-1) / (B+1).  Head [0, h], h = _Y_MIN:
     |J_nu(y)| <= (y/2)^nu / nu! (DLMF 10.14.4), so the head is at most
     h^p / (2^(k-1+A) (k-1)! A! p) with p = k - 1 + A - B."""
-    _check_weight(k)
-    nu, y_max = k - 1, _Y_MAX
+    nu, y_max = even_weight(k) - 1, _Y_MAX
     c_nu, c_a = (y_max * (special.jv(n, y_max) ** 2 + special.yv(n, y_max) ** 2)
                  for n in (nu, tf.A))
     tail = math.sqrt(c_nu * c_a) * y_max ** (-tf.B - 1.0) / (tf.B + 1)
@@ -219,4 +209,4 @@ def dot_truncation_bound(tf: TestFunction, k: int) -> float:
 def tilde_transform_quadrature(tf: TestFunction, t: float) -> float:
     """(i / 2 sinh(pi t)) int (J_{2it}(y) - J_{-2it}(y)) phi(y) dy / y, with the
     t = 0 value defined by the continuous limit."""
-    return -tf.sign * _quadrature(_imj_ratio_on_grid(abs(float(t))), tf)
+    return -tf.sign * _quadrature(_imj_ratio_on_grid(finite_order(t)), tf)

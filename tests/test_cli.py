@@ -19,6 +19,7 @@ import supnorm
 from supnorm import counting
 from supnorm.arithmetic import SquarefreeModulus
 from supnorm.cli import main
+from supnorm.specfun import ArchimedeanParameter
 
 
 @pytest.fixture()
@@ -50,6 +51,7 @@ def test_bessel_eval(runner):
 def test_bessel_requires_args(runner):
     assert runner.invoke(main, ["bessel", "--fn", "J"]).exit_code == 2
     assert runner.invoke(main, ["bessel", "--fn", "Kimag", "--y", "1"]).exit_code == 2
+    assert runner.invoke(main, ["bessel", "--fn", "Ypair", "--y", "1"]).exit_code == 2
 
 
 def test_bessel_verify_csv(runner):
@@ -147,12 +149,9 @@ def test_count_resource_cap(runner, args):
 @pytest.mark.parametrize("args", [
     ["decay", "--z", "1e12", "--t", "8", "--alpha", "0.3"],
     ["decay", "--z", "1e308", "--t", "8", "--alpha", "0.3"],
-    ["vintegral", "--kind", "maass", "--t", "2", "--z", "1e20", "--t-scale", "8",
-     "--alpha", "1"],
-    ["vintegral", "--kind", "maass", "--t", "2", "--z", "1e308", "--t-scale", "8",
-     "--alpha", "1"],
-    ["vintegral", "--kind", "maass", "--t", "2", "--z", "32", "--t-scale", "8",
-     "--alpha", "1e300"],
+    ["vintegral", "--t", "2", "--z", "1e20", "--t-scale", "8", "--alpha", "1"],
+    ["vintegral", "--t", "2", "--z", "1e308", "--t-scale", "8", "--alpha", "1"],
+    ["vintegral", "--t", "2", "--z", "32", "--t-scale", "8", "--alpha", "1e300"],
 ])
 def test_analytic_resource_cap_comes_before_any_allocation(runner, args):
     import supnorm.oscillatory  # noqa: F401  (its imports are not the command's work)
@@ -165,6 +164,47 @@ def test_analytic_resource_cap_comes_before_any_allocation(runner, args):
     assert res.exit_code == 3
     assert "exceeds cap" in res.output or "exceed cap" in res.output
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("args", [
+    ["bessel", "--fn", "Kimag", "--t", "1e200", "--y", "1"],
+    ["bessel", "--fn", "Ypair", "--t", "1e9", "--y", "1"],
+    ["transform", "--a", "10", "--b", "2", "--t", "1e6", "--method", "quad"],
+    ["vintegral", "--t", "1e6", "--z", "32", "--t-scale", "8", "--alpha", "1.0"],
+])
+def test_radial_panel_cap_exits_3(runner, args):
+    # the imaginary-order contours stop at specfun._MAX_PANELS radial panels,
+    # the cap of the equal panels above
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert "radial panels for frequency" in res.output and "exceed cap 131072" in res.output
+
+
+def test_radial_panel_cap_comes_before_any_node_array(runner):
+    # the edge list stops at 2^17 + 2 floats whatever the order: 4.1 MiB here.
+    # One case only, as tracing makes each take about 1 s
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["bessel", "--fn", "Kimag", "--t", "1e200", "--y", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 3
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("flag, value, param", [
+    ("--t", "2", ArchimedeanParameter.maass(2.0)),
+    ("--k", "4", ArchimedeanParameter.holomorphic(4))])
+def test_vintegral_family_follows_the_spectral_flag(runner, flag, value, param):
+    from supnorm import oscillatory
+    res = runner.invoke(main, ["vintegral", flag, value, "--z", "32", "--t-scale", "8",
+                               "--alpha", "1.0"])
+    assert res.exit_code == 0
+    window = oscillatory.SmoothWindow(32.0, 8.0)
+    assert json.loads(res.output) == {
+        "value": oscillatory.voronoi_integral(window, param, "+", 1.0),
+        "bound1": oscillatory.lemma6_bound1(32.0, param.t_star, 1.0)}
 
 
 def test_count_reduce(runner):
@@ -278,9 +318,10 @@ def test_readme_cli_examples_run(runner):
     (["bessel", "--fn", "Kimag", "--t", "1", "--y", "0"], "argument must be positive, got 0.0"),
     (["bessel", "--fn", "W", "--k", "3", "--y", "1"],
      "holomorphic weight must be an even integer >= 2, got 3"),
-    (["transform", "--a", "10", "--b", "2", "--k", "3"], "k must be an even integer >= 2, got 3"),
-    (["vintegral", "--kind", "holomorphic", "--k", "3", "--z", "32", "--t-scale", "8",
-      "--alpha", "1.0"], "holomorphic weight must be an even integer >= 2, got 3"),
+    (["transform", "--a", "10", "--b", "2", "--k", "3"],
+     "holomorphic weight must be an even integer >= 2, got 3"),
+    (["vintegral", "--k", "3", "--z", "32", "--t-scale", "8", "--alpha", "1.0"],
+     "holomorphic weight must be an even integer >= 2, got 3"),
     (["kloosterman", "--m", "1", "--n", "1", "--c", "8", "--char", "quadratic:4"],
      "quadratic character requires an odd prime modulus"),
     (["kloosterman", "--m", "1", "--n", "1", "--c", "8", "--char", "trivial:4"],
@@ -292,18 +333,16 @@ def test_readme_cli_examples_run(runner):
     (["count", "matrices", "--x", "0", "--y", "1", "--n", "1", "--n-level", "1",
       "--delta", "inf"], "x, y and delta must be finite"),
     (["bessel", "--fn", "Kimag", "--t", "inf", "--y", "1"], "t must be finite, got inf"),
-    (["bessel", "--fn", "Kimag", "--t", "1e200", "--y", "1"],
-     "frequency 1e+200 needs more than 131072 panels"),
-    (["bessel", "--fn", "Ypair", "--t", "1e9", "--y", "1"],
-     "frequency 2e+09 needs more than 131072 panels"),
+    (["bessel", "--fn", "W", "--k", "2", "--t", "1", "--y", "1"],
+     "exactly one of --k / --t is required"),
+    (["bessel", "--fn", "kernel", "--k", "2", "--t", "1", "--y", "1"],
+     "exactly one of --k / --t is required"),
     (["transform", "--a", "10", "--b", "2", "--t", "inf"], "t must be finite, got inf"),
     (["approx", "--x", "inf", "--h", "10"], "x must be finite, got inf"),
     (["amplifier", "--l", "inf", "--n-level", "5"], "need 2 <= lo <= hi < inf, got [2, inf]"),
     (["decay", "--z", "inf", "--t", "2", "--alpha", "0.3"], "need finite Z >= 1, got inf"),
-    (["bessel", "--fn", "J", "--order", "2", "--y", "inf"],
-     "order and argument must be finite, got 2.0, inf"),
-    (["bessel", "--fn", "J", "--order", "nan", "--y", "1"],
-     "order and argument must be finite, got nan, 1.0"),
+    (["bessel", "--fn", "J", "--order", "2", "--y", "inf"], "argument must be finite, got inf"),
+    (["bessel", "--fn", "J", "--order", "nan", "--y", "1"], "order must be finite, got nan"),
     (["optimize", "--theta", "5"], "theta must lie in [0, 1/2], got 5"),
     (["optimize", "--theta", "-1"], "theta must lie in [0, 1/2], got -1"),
     (["bessel", "--fn", "Ypair", "--t", "300", "--y", "1"],
@@ -324,10 +363,10 @@ def test_readme_cli_examples_run(runner):
     # H is checked when the instance is built, before the box volume cap (exit 3)
     (["count", "A", "--C", "10000", "--S", "1000", "--R", "1000", "--r-tilde", "1000",
       "--u", "3", "--N", "7", "--H", "0.5"], "need finite H >= 1, got 0.5"),
-    (["vintegral", "--kind", "maass", "--t", "2", "--z", "32", "--t-scale", "8",
-      "--alpha", "inf"], "alpha must be positive and finite, got inf"),
-    (["vintegral", "--kind", "maass", "--t", "2", "--z", "32", "--t-scale", "8",
-      "--alpha", "nan"], "alpha must be positive and finite, got nan"),
+    (["vintegral", "--t", "2", "--z", "32", "--t-scale", "8", "--alpha", "inf"],
+     "alpha must be positive and finite, got inf"),
+    (["vintegral", "--t", "2", "--z", "32", "--t-scale", "8", "--alpha", "nan"],
+     "alpha must be positive and finite, got nan"),
     (["bessel", "--fn", "W", "--t", "1", "--y", "inf"],
      "argument must be finite, got inf"),
     (["bessel", "--fn", "W", "--k", "2", "--y", "inf"],
@@ -350,6 +389,17 @@ def test_readme_cli_examples_run(runner):
      "argument must be below 2.86e+307, got 1e+308"),
     (["bessel", "--fn", "W", "--k", "2", "--y", "1e308"],
      "argument must be below 1.43e+307, got 1e+308"),
+    # one rule for W, kernel, transform and vintegral: exactly one of --k and --t
+    (["bessel", "--fn", "W", "--y", "1"], "exactly one of --k / --t is required"),
+    (["transform", "--a", "10", "--b", "2", "--k", "4", "--t", "1"],
+     "exactly one of --k / --t is required"),
+    (["vintegral", "--k", "4", "--t", "2", "--z", "32", "--t-scale", "8", "--alpha", "1.0"],
+     "exactly one of --k / --t is required"),
+    (["vintegral", "--z", "32", "--t-scale", "8", "--alpha", "1.0"],
+     "exactly one of --k / --t is required"),
+    # a NaN argument is reported as not finite, not as not positive
+    (["bessel", "--fn", "J", "--order", "2", "--y", "nan"], "argument must be finite, got nan"),
+    (["bessel", "--fn", "Kimag", "--t", "1", "--y", "nan"], "argument must be finite, got nan"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
