@@ -178,8 +178,8 @@ def kloosterman_cmd(m, n, c, char_spec, output):
 @click.option("--order", type=float, default=None, help="Real order for J.")
 @click.option("--t", type=float, default=None, help="Spectral parameter.")
 @click.option("--k", type=int, default=None, help="Holomorphic weight for W/kernel.")
-@click.option("--sign", type=click.Choice(["+", "-"]), default="+",
-              help="Kernel sign (kernel only).")
+@click.option("--sign", type=click.Choice(["+", "-"]), default=None,
+              help="Kernel sign (kernel only; default +).")
 @click.option("--y", type=float, default=None)
 @output_option
 @click.pass_context
@@ -191,6 +191,12 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
     from . import specfun
     if fn is None or y is None:
         raise click.UsageError("--fn and --y are required")
+    reads = {"J": {"order"}, "Kimag": {"t"}, "Ypair": {"t"}, "W": {"k", "t"},
+             "kernel": {"k", "t", "sign"}}[fn]
+    unread = [f"--{name}" for name in ("order", "t", "k", "sign")
+              if ctx.params[name] is not None and name not in reads]
+    if unread:
+        raise click.UsageError(f"--fn {fn} does not read {', '.join(unread)}")
     if fn == "J":
         if order is None:
             raise click.UsageError("--order required for J")
@@ -202,7 +208,7 @@ def bessel_cmd(ctx, fn, order, t, k, sign, y, output):
     elif fn == "W":
         value = specfun.whittaker_weight(_spectral(k, t), y)
     else:
-        value = specfun.voronoi_kernel(_spectral(k, t), sign, y)
+        value = specfun.voronoi_kernel(_spectral(k, t), sign or "+", y)
     _emit({"fn": fn, "y": y, "value": value}, output)
 
 

@@ -214,11 +214,11 @@ def lemma10_bound(inst: CountingInstance, which: str = "plain") -> float:
 
 def lemma10_bound_check(inst: CountingInstance, which: str, plain: Columns) -> dict:
     """The count in `plain` = enumerate_A_columns(inst), or of its square
-    subset, against `lemma10_bound`."""
+    subset, against `lemma10_bound`; a NaN bound gives a NaN ratio."""
     bound = lemma10_bound(inst, which)
     count = len((enumerate_A_square(inst, plain) if which == "square" else plain)[0])
     return {"count": count, "bound": bound,
-            "ratio": count / bound if bound > 0 else (0.0 if count == 0 else math.inf)}
+            "ratio": count / bound if bound else (0.0 if count == 0 else math.inf)}
 
 
 # ---------------------------------------------------------------------------

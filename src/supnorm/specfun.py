@@ -156,11 +156,16 @@ def _radial_nodes(omega: float, p_min: float, p_max: float):
     log-oscillation dominates, uniform beyond.  The first, from 0, has the
     rate bound omega/(4 p_min) + 2 in place of omega/p + 2.  Neither rule can
     overflow.  Raises ResourceLimitError past _MAX_PANELS panels, before any
-    node array is built; the edge list then holds at most 2^17 + 2 floats,
-    about 4 MiB, at any frequency."""
+    node array is built.  A panel widens p by at most 1 + min(1, 12/omega), so
+    where even that rate cannot reach p_max within the cap (1e-9 covers the
+    rounding of 2^17 steps) it raises at once; elsewhere the edge list holds
+    at most 2^17 + 2 floats, about 4 MiB."""
     edges = [0.0, min(p_min, _PANEL_PHASE * 4 * p_min / (omega + 8 * p_min))]
+    widest = math.log1p(_PANEL_PHASE / max(omega, _PANEL_PHASE))
+    beyond_cap = (edges[1] == 0
+                  or math.log(p_max) - math.log(edges[1]) > _MAX_PANELS * widest + 1e-9)
     while edges[-1] < p_max:
-        if len(edges) > _MAX_PANELS:
+        if beyond_cap or len(edges) > _MAX_PANELS:
             raise ResourceLimitError(f"radial panels for frequency {omega:g} exceed cap {_MAX_PANELS}")
         p = edges[-1]
         edges.append(p + min(p, _PANEL_PHASE * p / (omega + 2 * p)))
@@ -395,20 +400,20 @@ def voronoi_kernel(param: ArchimedeanParameter, sign: str, y: float) -> float:
 
 def check_derivative_recurrences(order: float, y_grid) -> dict:
     """Central finite differences (step 1e-5) of J_r and K_r against
-    J_r' = (J_{r-1} - J_{r+1})/2 and K_r' = -(K_{r-1} + K_{r+1})/2."""
-    worst_j = 0.0
-    worst_k = 0.0
+    J_r' = (J_{r-1} - J_{r+1})/2 and K_r' = -(K_{r-1} + K_{r+1})/2, the
+    largest discrepancy of each over y_grid (K only for r >= 0)."""
     r = float(order)
+    y = np.asarray(y_grid, dtype=float)
     h = 1e-5
-    for y in y_grid:
-        fd_j = (special.jv(r, y + h) - special.jv(r, y - h)) / (2 * h)
-        rec_j = 0.5 * (special.jv(r - 1, y) - special.jv(r + 1, y))
-        worst_j = max(worst_j, abs(fd_j - rec_j))
-        if r >= 0:
-            fd_k = (special.kv(r, y + h) - special.kv(r, y - h)) / (2 * h)
-            rec_k = -0.5 * (special.kv(r - 1, y) + special.kv(r + 1, y))
-            worst_k = max(worst_k, abs(fd_k - rec_k))
-    return {"order": r, "max_discrepancy_J": worst_j, "max_discrepancy_K": worst_k}
+    fd_j = (special.jv(r, y + h) - special.jv(r, y - h)) / (2 * h)
+    rec_j = 0.5 * (special.jv(r - 1, y) - special.jv(r + 1, y))
+    worst_k = 0.0
+    if r >= 0:
+        fd_k = (special.kv(r, y + h) - special.kv(r, y - h)) / (2 * h)
+        rec_k = -0.5 * (special.kv(r - 1, y) + special.kv(r + 1, y))
+        worst_k = float(np.max(np.abs(fd_k - rec_k), initial=0.0))
+    return {"order": r, "max_discrepancy_J": float(np.max(np.abs(fd_j - rec_j), initial=0.0)),
+            "max_discrepancy_K": worst_k}
 
 
 # correct sign column for the one-integration-by-parts identity; J and Y carry a
@@ -451,15 +456,12 @@ def check_ibp_identity(g, g_support: tuple[float, float], r: float, alpha: float
 
 def _fit_shape(params, y_grid, value, bound) -> dict:
     """The largest |value(a, y)| / bound(a, y) over a in `params` and y on the
-    grid, and the (a, y) that attains it."""
-    y = np.asarray(list(y_grid), dtype=float)
-    worst, worst_at = -math.inf, None
-    for a in params:
-        ratios = np.abs(value(a, y)) / bound(a, y)
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst:
-            worst, worst_at = float(ratios[i]), (a, float(y[i]))
-    return {"constant": worst, "worst_point": worst_at}
+    grid, both non-empty, and the first (a, y) that attains it; a NaN ratio
+    is the largest, so a NaN value is reported, never skipped."""
+    params, y = list(params), np.asarray(list(y_grid), dtype=float)
+    ratios = np.array([np.abs(value(a, y)) / bound(a, y) for a in params])
+    i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return {"constant": float(ratios[i, j]), "worst_point": (params[i], float(y[j]))}
 
 
 def check_kbessel_transition_bound(t: float, w_grid) -> dict:
@@ -486,9 +488,9 @@ def fit_bessel_k_shape(ts, y_grid) -> dict:
 
 def fit_whittaker_shape(params, y_factors) -> dict:
     """Fitted constant for |W^{(j)}(y)| <= C (t*)^{1/2} (t*/y)^{j+eps} (1+y/t*)^{-A},
-    eps = 0.1 and A = 3, at j = 0, 1, 2 by central finite differences."""
-    worst = 0.0
-    worst_at = None
+    eps = 0.1 and A = 3, at j = 0, 1, 2 by central finite differences; the
+    first point of the largest ratio, a NaN one first, is the witness."""
+    ratios, points = [], []
     for param in params:
         ts = param.t_star
         for fac in y_factors:
@@ -498,7 +500,7 @@ def fit_whittaker_shape(params, y_factors) -> dict:
             derivatives = (mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h))
             for j, d in enumerate(derivatives):
                 bound = math.sqrt(ts) * (ts / y) ** (j + 0.1) * (1 + y / ts) ** -3.0
-                ratio = abs(d) / bound
-                if ratio > worst:
-                    worst, worst_at = ratio, (param.kind, param.k or param.t, fac, j)
-    return {"constant": worst, "worst_point": worst_at}
+                ratios.append(abs(d) / bound)
+                points.append((param.kind, param.k or param.t, fac, j))
+    i = int(np.argmax(ratios))
+    return {"constant": ratios[i], "worst_point": points[i]}

@@ -8,9 +8,11 @@ tolerances, decay slopes) off the sweep's detail, and passes when the fitted
 constant is at most its limit and every side condition holds.  Each limit and
 tolerance lives only here: `run_verify`, the CLI's `verify` and
 `bessel verify` all read this table.  Adding a property means adding one
-entry.  The acceptance tests call the same sweeps, `sweep_lemma10` at a
-larger size, and keep their own literal limits; the sweep sizes here keep a
-full run interactive."""
+entry.  A fitted constant, like each tolerance figure, is `_worst` of the
+ratios its sweep collects: their maximum, which a NaN ratio wins, so a kernel
+that returns NaN fails its property.  The acceptance tests call the same
+sweeps, `sweep_lemma10` at a larger size, and keep their own literal limits;
+the sweep sizes here keep a full run interactive."""
 
 from __future__ import annotations
 
@@ -35,6 +37,11 @@ class RunConfig:
     seed: int = 0
 
 
+def _worst(values) -> float:
+    """The largest of `values`, 0.0 when there are none, NaN when any is NaN."""
+    return float(np.max(np.fromiter(values, float), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # sweeps (reused by the acceptance tests)
 # ---------------------------------------------------------------------------
@@ -51,25 +58,18 @@ KLOOSTERMAN_INSTANCES = 40
 def sweep_transforms() -> dict:
     """Largest relative error of each quadrature against its closed form, and
     the largest stated truncation bound of the discrete one relative to it."""
-    worst_dot = 0.0
-    worst_tilde = 0.0
-    dot_tail = 0.0
-    n = 0
+    dot, tilde, tail = [], [], []
     for a, b in TRANSFORM_PAIRS:
         tf = transforms.TestFunction(a, b)
         for k in TRANSFORM_KS:
             c = transforms.dot_transform_closed_value(tf, k)
-            q = transforms.dot_transform_quadrature(tf, k)
-            worst_dot = max(worst_dot, abs(c - q) / abs(c))
-            dot_tail = max(dot_tail, transforms.dot_truncation_bound(tf, k) / abs(c))
-            n += 1
+            dot.append(abs(c - transforms.dot_transform_quadrature(tf, k)) / abs(c))
+            tail.append(transforms.dot_truncation_bound(tf, k) / abs(c))
         for t in TRANSFORM_TS:
             c = transforms.tilde_transform_closed(tf, t)
-            q = transforms.tilde_transform_quadrature(tf, t)
-            worst_tilde = max(worst_tilde, abs(c - q) / abs(c))
-            n += 1
-    return {"max_rel_dot": worst_dot, "max_rel_tilde": worst_tilde,
-            "dot_tail_bound": dot_tail, "instances": n}
+            tilde.append(abs(c - transforms.tilde_transform_quadrature(tf, t)) / abs(c))
+    return {"max_rel_dot": _worst(dot), "max_rel_tilde": _worst(tilde),
+            "dot_tail_bound": _worst(tail), "instances": len(dot) + len(tilde)}
 
 
 def check_positivity() -> dict:
@@ -108,8 +108,7 @@ _SWEEP_MODULI = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
 
 
 def sweep_lemma10(rng: random.Random, n_instances: int = 60) -> dict:
-    worst_plain = 0.0
-    worst_square = 0.0
+    plain_ratios, square_ratios = [], []
     dual_ok = True
     for _ in range(n_instances):
         nval = rng.choice(_SWEEP_MODULI)
@@ -120,16 +119,13 @@ def sweep_lemma10(rng: random.Random, n_instances: int = 60) -> dict:
             R_tilde=rng.randint(1, 20), d1=rng.randint(1, 3), d2=rng.randint(1, 3),
             u=u, N=mod)
         plain = counting.enumerate_A_columns(inst)
-        if not all(map(np.array_equal, plain, counting.enumerate_A_naive_columns(inst))):
-            dual_ok = False
-        worst_plain = max(worst_plain,
-                          counting.lemma10_bound_check(inst, "plain", plain)["ratio"])
+        dual_ok &= all(map(np.array_equal, plain, counting.enumerate_A_naive_columns(inst)))
+        plain_ratios.append(counting.lemma10_bound_check(inst, "plain", plain)["ratio"])
         if inst.d1 == 1 and inst.d2 == 1:
-            worst_square = max(worst_square,
-                               counting.lemma10_bound_check(inst, "square", plain)["ratio"])
+            square_ratios.append(counting.lemma10_bound_check(inst, "square", plain)["ratio"])
     return {"instances": n_instances, "dual_oracle_ok": dual_ok,
-            "fitted_constant": max(worst_plain, worst_square),
-            "max_ratio_plain": worst_plain, "max_ratio_square": worst_square}
+            "fitted_constant": _worst(plain_ratios + square_ratios),
+            "max_ratio_plain": _worst(plain_ratios), "max_ratio_square": _worst(square_ratios)}
 
 
 def sweep_congruence(rng: random.Random) -> dict:
@@ -156,9 +152,8 @@ def sweep_congruence(rng: random.Random) -> dict:
 
 def sweep_matrices(rng: random.Random) -> dict:
     all_equal = True
-    ubound_const = 0.0
-    done = 0
-    while done < MATRIX_INSTANCES:
+    ratios = []
+    while len(ratios) < MATRIX_INSTANCES:
         nval = rng.choice((1, 2, 3, 5, 6, 7, 10))
         n = rng.randint(1, 20)
         if math.gcd(n, nval) != 1:
@@ -167,26 +162,21 @@ def sweep_matrices(rng: random.Random) -> dict:
             x=rng.uniform(-1, 1), y=rng.uniform(0.3, 2.0), n=n,
             N=SquarefreeModulus.from_int(nval), delta=rng.uniform(0.0, 1.0))
         ours = counting.enumerate_R_N_matrices(inst)
-        naive = counting.enumerate_matrices_naive(inst)
-        if ours != naive:
-            all_equal = False
-        split = counting.matrix_count_split(ours)
-        ubound_const = max(ubound_const, split["M0"] / counting.ubound_value(inst))
-        done += 1
-    return {"instances": done, "all_equal": all_equal, "ubound_constant": ubound_const}
+        all_equal &= ours == counting.enumerate_matrices_naive(inst)
+        ratios.append(counting.matrix_count_split(ours)["M0"] / counting.ubound_value(inst))
+    return {"instances": len(ratios), "all_equal": all_equal, "ubound_constant": _worst(ratios)}
 
 
 def sweep_geometric() -> dict:
     """Geometric-sum shape on a small fixed sweep; it draws no random numbers."""
-    geom_const = 0.0
+    ratios = []
     for n, nval, y in ((2, 3, 0.8), (5, 2, 1.2), (12, 5, 0.6)):
         inst = counting.MatrixCountInstance(x=0.3, y=y, n=n,
                                             N=SquarefreeModulus.from_int(nval), delta=4.0)
         mats = counting.enumerate_R_N_matrices(inst)
-        for t_kernel in (4.0, 16.0, 64.0):
-            geom_const = max(geom_const,
-                             counting.geometric_sum(inst, mats, t_kernel)["ratio"])
-    return {"geometric_constant": geom_const}
+        ratios += (counting.geometric_sum(inst, mats, t_kernel)["ratio"]
+                   for t_kernel in (4.0, 16.0, 64.0))
+    return {"geometric_constant": _worst(ratios)}
 
 
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -194,7 +184,7 @@ _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 
 def sweep_amplifier(rng: random.Random) -> dict:
-    worst = 0.0
+    errors = []
     exact_ok = True
     for _ in range(AMPLIFIER_SYSTEMS):
         nval = rng.choice((1, 5, 7, 11, 13, 15, 21, 33))
@@ -204,32 +194,23 @@ def sweep_amplifier(rng: random.Random) -> dict:
         L = rng.choice((5, 10, 20, 50))
         amp = amp_mod.build_amplifier(sys_, L, SquarefreeModulus.from_int(nval))
         expected = len(amp.lambda1)
-        value = amp_mod.amplifier_diagonal_value(sys_, amp)
-        if expected:
-            worst = max(worst, abs(value - expected) / expected)
-        elif abs(value) > 1e-12:
-            worst = max(worst, abs(value))
-        if amp_mod.amplifier_diagonal_symbolic(sys_, amp) != expected:
-            exact_ok = False
-    return {"instances": AMPLIFIER_SYSTEMS, "max_rel_error": worst, "symbolic_exact": exact_ok}
+        # with no amplifying prime the sum is empty: exactly 0, as expected
+        errors.append(abs(amp_mod.amplifier_diagonal_value(sys_, amp) - expected)
+                      / max(expected, 1))
+        exact_ok &= amp_mod.amplifier_diagonal_symbolic(sys_, amp) == expected
+    return {"instances": AMPLIFIER_SYSTEMS, "max_rel_error": _worst(errors),
+            "symbolic_exact": exact_ok}
 
 
 def sweep_specfun() -> dict:
-    rec = specfun.check_derivative_recurrences(1.0, [0.5, 1, 2, 5, 10, 20])
-    rec2 = specfun.check_derivative_recurrences(3.0, [0.5, 1, 2, 5, 10, 20])
-    rec_worst = max(rec["max_discrepancy_J"], rec["max_discrepancy_K"],
-                    rec2["max_discrepancy_J"], rec2["max_discrepancy_K"])
+    recs = [specfun.check_derivative_recurrences(r, [0.5, 1, 2, 5, 10, 20]) for r in (1.0, 3.0)]
 
     def bump(y):
         v = 2 * (y - 2.5) / 3
         return math.exp(-1 / (1 - v * v)) if abs(v) < 1 else 0.0
 
-    ibp_worst = 0.0
-    for family in "JYK":
-        for r in (0.0, 1.0, 2.0):
-            for alpha in (1.0, 2.0):
-                rep = specfun.check_ibp_identity(bump, (1.0, 4.0), r, alpha, family)
-                ibp_worst = max(ibp_worst, rep["rel_error"])
+    ibp_errors = [specfun.check_ibp_identity(bump, (1.0, 4.0), r, alpha, family)["rel_error"]
+                  for family in "JYK" for r in (0.0, 1.0, 2.0) for alpha in (1.0, 2.0)]
 
     j_shape = specfun.fit_bessel_j_shape(
         orders=range(0, 25), y_grid=np.geomspace(0.01, 1e4, 400))
@@ -238,17 +219,17 @@ def sweep_specfun() -> dict:
     params = [specfun.ArchimedeanParameter.holomorphic(k) for k in (2, 4, 10, 20)] + \
              [specfun.ArchimedeanParameter.maass(t) for t in (0.0, 1.0, 5.0)]
     w_shape = specfun.fit_whittaker_shape(params, y_factors=(0.1, 0.3, 1.0, 2.0, 5.0))
-    trans_worst = 0.0
-    for t in (2.0, 5.0, 10.0, 20.0):
-        grid = sorted({0.3 * t, 0.8 * t, 0.95 * t, t, 1.05 * t, 1.3 * t, 3 * t})
-        trans_worst = max(trans_worst, specfun.check_kbessel_transition_bound(t, grid)["constant"])
+    transitions = [specfun.check_kbessel_transition_bound(
+        t, sorted({0.3 * t, 0.8 * t, 0.95 * t, t, 1.05 * t, 1.3 * t, 3 * t}))["constant"]
+        for t in (2.0, 5.0, 10.0, 20.0)]
     return {
-        "recurrence_max_error": rec_worst,
-        "ibp_max_rel_error": ibp_worst,
+        "recurrence_max_error": _worst(rec[key] for rec in recs
+                                       for key in ("max_discrepancy_J", "max_discrepancy_K")),
+        "ibp_max_rel_error": _worst(ibp_errors),
         "bessel_j_constant": j_shape["constant"],
         "bessel_k_constant": k_shape["constant"],
         "whittaker_constant": w_shape["constant"],
-        "transition_constant": trans_worst,
+        "transition_constant": _worst(transitions),
     }
 
 
@@ -256,23 +237,21 @@ LEMMA4_ALPHAS = (0.5, 0.3, Fraction(1, 7), Fraction(34, 55))
 
 
 def sweep_lemma4() -> dict:
-    constants = {2: 0.0, 3: 0.0}
+    ratios = {2: [], 3: []}
     for nu in range(8, 15):
         z = float(2 ** nu)
         for alpha in LEMMA4_ALPHAS:
             t_scale = max(4.0 / oscillatory.distance_to_nearest_integer(alpha), 1.0)
             w = oscillatory.SmoothWindow(z, min(t_scale, z))
             for j in (2, 3):
-                rep = oscillatory.lemma4_decay_check(w, alpha, j)
-                constants[j] = max(constants[j], rep["ratio"])
+                ratios[j].append(oscillatory.lemma4_decay_check(w, alpha, j)["ratio"])
     # one |sum| against T: the slope is the same figure for every j
     slope = oscillatory.lemma4_t_sweep(4096.0, 0.3, [8, 16, 32])["slope"]
-    return {"C2": constants[2], "C3": constants[3], "slopes": {2: slope, 3: slope}}
+    return {"C2": _worst(ratios[2]), "C3": _worst(ratios[3]), "slopes": {2: slope, 3: slope}}
 
 
 def sweep_kernel_integrals() -> dict:
-    worst1 = 0.0
-    worst2 = 0.0
+    ratios1, ratios2 = [], []
     params = [specfun.ArchimedeanParameter.holomorphic(2),
               specfun.ArchimedeanParameter.holomorphic(8),
               specfun.ArchimedeanParameter.maass(0.0),
@@ -285,12 +264,12 @@ def sweep_kernel_integrals() -> dict:
                     for sign in "+-":
                         val = abs(oscillatory.voronoi_integral(w, param, sign, alpha))
                         b1 = oscillatory.lemma6_bound1(z, param.t_star, alpha)
-                        worst1 = max(worst1, val / b1)
+                        ratios1.append(val / b1)
                         if alpha * math.sqrt(z / 2) >= 2 * param.t_star:
                             for j in (1, 2):
                                 b2 = oscillatory.lemma6_bound2(z, w.T, param.t_star, alpha, j)
-                                worst2 = max(worst2, val / b2)
-    return {"bound1_constant": worst1, "bound2_constant": worst2}
+                                ratios2.append(val / b2)
+    return {"bound1_constant": _worst(ratios1), "bound2_constant": _worst(ratios2)}
 
 
 def check_partition() -> dict:
@@ -307,7 +286,7 @@ def _kloosterman_direct(m: int, n: int, c: int) -> complex:
 
 
 def sweep_kloosterman(rng: random.Random) -> dict:
-    worst_trivial = worst_direct = 0.0
+    trivial, direct = [], []
     chi = DirichletCharacter.trivial(1)
     # the random instances, then one (m, n) at c = 1 and one at c = 2, where the
     # fast path takes its closed form; those two are held to the direct sum
@@ -316,13 +295,12 @@ def sweep_kloosterman(rng: random.Random) -> dict:
         c = fixed_c or rng.randint(1, 200)
         q = kloosterman.KloostermanQuery(rng.randint(-20, 20) or 1, rng.randint(-20, 20) or 1, c, chi)
         rep = kloosterman.kloosterman_weil_check(q)
-        worst_direct = max(worst_direct,
-                           abs(rep["value"] - _kloosterman_direct(q.m, q.n, c)) / math.sqrt(c))
+        direct.append(abs(rep["value"] - _kloosterman_direct(q.m, q.n, c)) / math.sqrt(c))
         # the reference bound is an upper bound for square-free c
         if fixed_c is None and all(e == 1 for e in factorint(c).values()):
-            worst_trivial = max(worst_trivial, rep["ratio"])
-    return {"instances": KLOOSTERMAN_INSTANCES, "max_direct_error": worst_direct,
-            "max_ratio_squarefree_trivial": worst_trivial}
+            trivial.append(rep["ratio"])
+    return {"instances": KLOOSTERMAN_INSTANCES, "max_direct_error": _worst(direct),
+            "max_ratio_squarefree_trivial": _worst(trivial)}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +344,7 @@ def specfun_rows(rep: dict) -> list[tuple[str, float, float, bool]]:
 
 PROPERTIES = {prop.id: prop for prop in (
     Property("transforms/closed-vs-quadrature", 1e-6, lambda rng: sweep_transforms(),
-             lambda rep: max(rep["max_rel_dot"], rep["max_rel_tilde"]),
+             lambda rep: _worst((rep["max_rel_dot"], rep["max_rel_tilde"])),
              lambda rep: (rep["max_rel_dot"] + rep["dot_tail_bound"]
                           <= PROPERTIES["transforms/closed-vs-quadrature"].limit)),
     Property("transforms/positivity", 1.0, lambda rng: check_positivity(),
@@ -390,13 +368,13 @@ PROPERTIES = {prop.id: prop for prop in (
              lambda rep: rep["max_rel_error"],
              lambda rep: rep["symbolic_exact"]),
     Property("specfun/grid", 50.0, lambda rng: sweep_specfun(),
-             lambda rep: max(rep[key] for _, key in SPECFUN_SHAPES),
+             lambda rep: _worst(rep[key] for _, key in SPECFUN_SHAPES),
              lambda rep: all(rep[key] < tol for _, key, tol in SPECFUN_TOLERANCES)),
     Property("oscillatory/poisson-decay", 100.0, lambda rng: sweep_lemma4(),
-             lambda rep: max(rep["C2"], rep["C3"]),
+             lambda rep: _worst((rep["C2"], rep["C3"])),
              lambda rep: rep["slopes"][3] <= -2.8),
     Property("oscillatory/kernel-integrals", 50.0, lambda rng: sweep_kernel_integrals(),
-             lambda rep: max(rep["bound1_constant"], rep["bound2_constant"])),
+             lambda rep: _worst((rep["bound1_constant"], rep["bound2_constant"]))),
     Property("oscillatory/partition", 1e-12, lambda rng: check_partition(),
              lambda rep: rep["max_deviation"]),
     Property("kloosterman/weil-reference", 1.0, sweep_kloosterman,

@@ -181,8 +181,8 @@ def test_radial_panel_cap_exits_3(runner, args):
 
 
 def test_radial_panel_cap_comes_before_any_node_array(runner):
-    # the edge list stops at 2^17 + 2 floats whatever the order: 4.1 MiB here.
-    # One case only, as tracing makes each take about 1 s
+    # no panel widens p by more than 1 + 12/t here, so the cap is known to be
+    # exceeded before the first panel is built
     tracemalloc.start()
     try:
         res = runner.invoke(main, ["bessel", "--fn", "Kimag", "--t", "1e200", "--y", "1"])
@@ -190,7 +190,7 @@ def test_radial_panel_cap_comes_before_any_node_array(runner):
     finally:
         tracemalloc.stop()
     assert res.exit_code == 3
-    assert peak < 8 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("flag, value, param", [
@@ -400,6 +400,11 @@ def test_readme_cli_examples_run(runner):
     # a NaN argument is reported as not finite, not as not positive
     (["bessel", "--fn", "J", "--order", "2", "--y", "nan"], "argument must be finite, got nan"),
     (["bessel", "--fn", "Kimag", "--t", "1", "--y", "nan"], "argument must be finite, got nan"),
+    # a flag that the function given does not read
+    (["bessel", "--fn", "Kimag", "--k", "4", "--t", "1", "--y", "1"], "--fn Kimag does not read --k"),
+    (["bessel", "--fn", "W", "--t", "1", "--sign", "-", "--order", "3", "--y", "1"],
+     "--fn W does not read --order, --sign"),
+    (["bessel", "--fn", "J", "--order", "2", "--t", "5", "--y", "1"], "--fn J does not read --t"),
 ])
 def test_library_value_errors_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)
@@ -468,6 +473,20 @@ def test_every_module_level_import_of_src_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(bound - read)]
     assert unused == []
+
+
+def test_no_running_maximum_is_left_in_src():
+    # `x = max(x, ...)` skips a NaN, as NaN > x is false; every fitted
+    # constant is instead a reduction that a NaN wins (`verify._worst`)
+    found = []
+    for path in sorted(Path(supnorm.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name) and node.value.func.id == "max"
+                    and ast.unparse(node.targets[0]) in map(ast.unparse, node.value.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_version_from_a_source_checkout(runner):

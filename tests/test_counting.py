@@ -146,6 +146,18 @@ def test_bound_check_ratio_modest_on_example():
     assert rep["ratio"] < 1e4
 
 
+@pytest.mark.parametrize("u, count", [(1, 0), (5, 1)])
+def test_bound_check_ratio_of_a_nan_bound_is_nan(monkeypatch, u, count):
+    # an empty box must not turn a NaN bound into a ratio of 0
+    inst = _instance(1, 0, 0, 0, u=u)
+    plain = counting.enumerate_A_columns(inst)
+    assert counting.lemma10_bound_check(inst, "plain", plain)["ratio"] == (0.0 if count == 0
+                                                                           else math.inf)
+    monkeypatch.setattr(counting, "lemma10_bound", lambda inst, which: math.nan)
+    rep = counting.lemma10_bound_check(inst, "plain", plain)
+    assert rep["count"] == count and math.isnan(rep["ratio"])
+
+
 # -- congruence reduction ----------------------------------------------------
 
 def test_congruence_reduction_zero_violations():

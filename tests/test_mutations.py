@@ -5,6 +5,9 @@ function in its module for the test, and runs the matching property at seed
 0.  A property that still passed with the fault in place could not see it.
 The last case moves the transform grid's cut instead of rewriting a line.
 
+`NAN_FAULTS`, which are also in `FAULTS`, make one computed value NaN; the
+property must fail on a NaN or infinite fitted constant, not skip the value.
+
 `BLIND_SPOTS` holds the faults that no property sees yet, each a strict
 xfail naming the ROADMAP item that is to catch it.  When that item lands,
 its case passes, strict mode fails the run, and the case moves to `FAULTS`.
@@ -12,6 +15,7 @@ its case passes, strict mode fails the run, and the case moves to `FAULTS`.
 
 import __future__
 import inspect
+import math
 import textwrap
 
 import pytest
@@ -88,6 +92,29 @@ FAULTS = {
         "turn = (cos_q, sin_q, -cos_q, -sin_q)", "turn = (sin_q, -cos_q, -sin_q, cos_q)"),
 }
 
+NAN_FAULTS = {
+    # the draws at c <= 2 take the closed form, so finite values follow the NaNs
+    "NaN from kloosterman_sum": (
+        "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
+        "return complex(2 * half)", "return complex(math.nan)"),
+    "NaN in the first row of k_imag_scaled": (
+        "specfun/grid", None, specfun, "k_imag_scaled",
+        "return out", "out[:1] = math.nan; return out"),
+    "NaN from _ratio_hankel": (
+        "transforms/closed-vs-quadrature", None, specfun, "_ratio_hankel",
+        "return amp * (p * sin_q + q * cos_q)", "return amp * (p * sin_q + q * cos_q) * math.nan"),
+    "NaN ratio from geometric_sum": (
+        "counting/matrices-geometric", None, counting, "geometric_sum",
+        '"ratio": total / bound', '"ratio": math.nan'),
+    "NaN ratio from lemma4_decay_check": (
+        "oscillatory/poisson-decay", None, oscillatory, "lemma4_decay_check",
+        '"ratio": abs(s) / bound', '"ratio": math.nan'),
+    "NaN Maass whittaker_weight": (
+        "specfun/grid", None, specfun, "whittaker_weight",
+        "return math.sqrt(y) * bessel_k_imag(param.t, 2 * math.pi * y)", "return math.nan"),
+}
+FAULTS.update(NAN_FAULTS)
+
 
 # (owning ROADMAP item, then a `FAULTS` entry) for each fault that every
 # property passes at seed 0
@@ -161,11 +188,14 @@ def _check_fault(monkeypatch, prop_id, flag, module, name, old, new):
     if rec["passed"] or (flag is not None and rec["detail"][flag] is not False):
         seen = {"passed": rec["passed"], **({flag: rec["detail"][flag]} if flag else {})}
         raise FaultUnseen(f"{prop_id} {seen}, {rec['fitted_constant']:.4g} / {rec['limit']:g}")
+    return rec
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_fails_its_property(monkeypatch, fault):
-    _check_fault(monkeypatch, *FAULTS[fault])
+    rec = _check_fault(monkeypatch, *FAULTS[fault])
+    if fault in NAN_FAULTS:
+        assert not math.isfinite(rec["fitted_constant"])
 
 
 # only `FaultUnseen` counts as the expected failure, so a fragment that no

@@ -263,6 +263,21 @@ def test_derivative_recurrences():
     assert rep["max_discrepancy_K"] < 1e-6
 
 
+@pytest.mark.parametrize("order", [-1.5, 1.0, 3.0])
+def test_derivative_recurrences_equal_a_loop_over_y(order):
+    # the grid is evaluated at once; each y on its own gives the same bits
+    grid, h, r = [0.5, 1, 2, 5, 10, 20], 1e-5, order
+    worst_j = worst_k = 0.0
+    for y in grid:
+        fd = (special.jv(r, y + h) - special.jv(r, y - h)) / (2 * h)
+        worst_j = max(worst_j, abs(fd - 0.5 * (special.jv(r - 1, y) - special.jv(r + 1, y))))
+        if r >= 0:
+            fd = (special.kv(r, y + h) - special.kv(r, y - h)) / (2 * h)
+            worst_k = max(worst_k, abs(fd + 0.5 * (special.kv(r - 1, y) + special.kv(r + 1, y))))
+    rep = specfun.check_derivative_recurrences(order, grid)
+    assert (rep["max_discrepancy_J"], rep["max_discrepancy_K"]) == (worst_j, worst_k)
+
+
 def _bump(y):
     v = 2 * (y - 2.5) / 3
     return math.exp(-1 / (1 - v * v)) if abs(v) < 1 else 0.0

@@ -8,6 +8,8 @@ property's `passed` must follow, and so must `bessel verify` on the
 so loosening one in `verify` fails this file.
 """
 
+import math
+
 import pytest
 from click.testing import CliRunner
 
@@ -92,6 +94,13 @@ CASES = {
 }
 
 
+def test_worst_is_a_maximum_that_nan_wins():
+    assert verify._worst([]) == 0.0
+    assert verify._worst(iter([0.5, 2.0, 1.0])) == 2.0
+    assert math.isnan(verify._worst([0.5, math.nan, 2.0]))
+    assert verify._worst([1.0, math.inf]) == math.inf
+
+
 def _passed(prop_id: str, detail: dict) -> bool:
     return verify.PROPERTIES[prop_id].record(detail)["passed"]
 
@@ -112,6 +121,14 @@ def test_passing_detail_passes(prop_id):
 def test_each_condition_decides(prop_id, name, changes, expected):
     detail = {**CASES[prop_id][0], **changes}
     assert _passed(prop_id, detail) is expected
+
+
+@pytest.mark.parametrize("prop_id,key", [
+    ("transforms/closed-vs-quadrature", "max_rel_tilde"), ("specfun/grid", "transition_constant"),
+    ("oscillatory/poisson-decay", "C3"), ("oscillatory/kernel-integrals", "bound2_constant")])
+def test_a_nan_figure_fails(prop_id, key):
+    # a NaN in the last key that a combined fitted constant reads: max(x, nan) is x
+    assert _passed(prop_id, {**CASES[prop_id][0], key: math.nan}) is False
 
 
 @pytest.mark.parametrize("dot,tail,expected", [(5e-7, 5e-7, True), (5e-7, 5.1e-7, False)])
