@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arithmetic import DirichletCharacter, SquarefreeModulus, factorint, primes_in_interval
 
@@ -69,14 +68,14 @@ def build_amplifier(sys: HeckeSystem, L: float, N: SquarefreeModulus) -> Amplifi
     for every eigenvalue system."""
     if L < 2:
         raise ValueError(f"need L >= 2, got {L}")
-    return _amplifier_on(sys, L, primes_in_interval(L, 2 * L, N))
+    return _amplifier_on(sys, L, primes_in_interval(L, 2 * L, N.value))
 
 
 def build_is_amplifier(sys: HeckeSystem, L: float, N: SquarefreeModulus) -> Amplifier:
     """Short variant: primes p <= sqrt(L) (so p^2 <= L), p coprime to N."""
     if L < 4:
         raise ValueError(f"need L >= 4, got {L}")
-    return _amplifier_on(sys, L, primes_in_interval(2, math.sqrt(L), N))
+    return _amplifier_on(sys, L, primes_in_interval(2, math.sqrt(L), N.value))
 
 
 def amplifier_diagonal_value(sys: HeckeSystem, amp: Amplifier) -> complex:
@@ -84,24 +83,3 @@ def amplifier_diagonal_value(sys: HeckeSystem, amp: Amplifier) -> complex:
     prime contributes chibar(p)(lambda(p)^2 - lambda(p^2)) = chibar(p) chi(p) = 1."""
     return sum(sys.eigenvalue(l) * a for l, a in amp.coefficients.items())
 
-
-def amplifier_diagonal_symbolic(sys: HeckeSystem, amp: Amplifier) -> int:
-    """The same sum with exact character arithmetic: per prime the lambda(p)^2
-    terms cancel identically (equal exact angles) and the remainder is
-    e(-angle) * e(angle) = e(0) = 1; raises if the cancellation is not exact."""
-    total = 0
-    for p in amp.lambda1:
-        a = sys.chi.angle(p)
-        if a is None:
-            raise ValueError(f"prime {p} shares a factor with the modulus")
-        # lambda(p)^2 coefficient: chibar(p) - chibar(p) with identical angles
-        coeff_angle_1 = (-a) % 1
-        coeff_angle_2 = (-a) % 1
-        if coeff_angle_1 != coeff_angle_2:
-            raise ValueError("lambda^2 coefficients fail to cancel exactly")
-        # constant term: chibar(p) * chi(p) = e(-a + a) = e(0)
-        const = (Fraction(a) - Fraction(a)) % 1
-        if const != 0:
-            raise ValueError("constant term is not exactly 1")
-        total += 1
-    return total

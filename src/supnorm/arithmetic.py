@@ -179,9 +179,6 @@ class SquarefreeModulus:
         if prod != self.value:
             raise ValueError("prime_factors do not multiply to value")
 
-    def __int__(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class DirichletCharacter:
@@ -202,8 +199,7 @@ class DirichletCharacter:
 
     @classmethod
     def trivial(cls, n: int) -> "DirichletCharacter":
-        mod = n if isinstance(n, SquarefreeModulus) else SquarefreeModulus.from_int(n)
-        return cls(modulus=mod, component_exponents={})
+        return cls(modulus=SquarefreeModulus.from_int(n), component_exponents={})
 
     @classmethod
     def quadratic(cls, p: int) -> "DirichletCharacter":
@@ -341,7 +337,7 @@ def p_adic_valuation(n: int, p: int) -> int:
     return v
 
 
-def primes_in_interval(lo: float, hi: float, excluded_modulus: SquarefreeModulus | int = 1):
+def primes_in_interval(lo: float, hi: float, excluded_modulus: int = 1):
     """Sorted primes p in [lo, hi] with p not dividing the excluded modulus, from
     a sieve up to hi; hi above `SIEVE_LIMIT` raises `ResourceLimitError` before
     the sieve is allocated."""
@@ -349,9 +345,8 @@ def primes_in_interval(lo: float, hi: float, excluded_modulus: SquarefreeModulus
         raise ValueError(f"need 2 <= lo <= hi < inf, got [{lo}, {hi}]")
     if hi > SIEVE_LIMIT:
         raise ResourceLimitError(f"primes up to {hi:.3g} exceed the sieve cap {SIEVE_LIMIT:.3g}")
-    n = int(excluded_modulus)
     primes = np.flatnonzero(_sieve(math.floor(hi)))
-    return [p for p in primes[primes >= math.ceil(lo)].tolist() if n % p != 0]
+    return [p for p in primes[primes >= math.ceil(lo)].tolist() if excluded_modulus % p != 0]
 
 
 @dataclass(frozen=True)

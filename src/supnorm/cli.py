@@ -227,8 +227,8 @@ def bessel_verify_cmd(output):
 
 
 @main.command("transform")
-@click.option("--a", "--A", "a_deg", type=int, required=True)
-@click.option("--b", "--B", "b_deg", type=int, required=True)
+@click.option("--a", "a_deg", type=int, required=True)
+@click.option("--b", "b_deg", type=int, required=True)
 @click.option("--k", type=int, default=None, help="Holomorphic weight (even).")
 @click.option("--t", type=float, default=None, help="Spectral parameter.")
 @click.option("--method", type=click.Choice(["closed", "quad", "both"]), default="both")
@@ -265,7 +265,7 @@ def transform_cmd(a_deg, b_deg, k, t, method, output):
 
 @main.command("approx")
 @click.option("--x", required=True, help="Real number or fraction p/q.")
-@click.option("--h", "--H", "h_cap", type=float, required=True)
+@click.option("--h", "h_cap", type=float, required=True)
 @output_option
 @_bad_input()
 def approx_cmd(x, h_cap, output):
@@ -276,8 +276,8 @@ def approx_cmd(x, h_cap, output):
 
 
 @main.command("decay")
-@click.option("--z", "--Z", "z_scale", type=float, required=True)
-@click.option("--t", "--T", "t_scale", type=float, required=True)
+@click.option("--z", "z_scale", type=float, required=True)
+@click.option("--t-scale", type=float, required=True)
 @click.option("--alpha", required=True)
 @click.option("--j", type=int, default=2)
 @output_option
@@ -294,8 +294,8 @@ def decay_cmd(z_scale, t_scale, alpha, j, output):
 @click.option("--k", type=int, default=None, help="Holomorphic weight (even).")
 @click.option("--t", type=float, default=None, help="Spectral parameter.")
 @click.option("--sign", type=click.Choice(["+", "-"]), default="+")
-@click.option("--z", "--Z", "z_scale", type=float, required=True)
-@click.option("--t-scale", "--T", type=float, required=True)
+@click.option("--z", "z_scale", type=float, required=True)
+@click.option("--t-scale", type=float, required=True)
 @click.option("--alpha", type=float, required=True)
 @output_option
 @_bad_input()
@@ -317,15 +317,15 @@ def count_cmd():
 
 
 @click.command()
-@click.option("--c-scale", "--C", "c_scale", type=int, required=True)
-@click.option("--s", "--S", "s", type=int, required=True)
-@click.option("--r", "--R", "r", type=int, required=True)
+@click.option("--c-scale", type=int, required=True)
+@click.option("--s", type=int, required=True)
+@click.option("--r", type=int, required=True)
 @click.option("--r-tilde", type=int, required=True)
 @click.option("--d1", type=int, default=1)
 @click.option("--d2", type=int, default=1)
 @click.option("--u", type=int, required=True)
-@click.option("--n-level", "--N", "n_level", type=int, required=True)
-@click.option("--h-cap", "--H", "h_cap", type=float, default=None,
+@click.option("--n-level", type=int, required=True)
+@click.option("--h-cap", type=float, default=None,
               help="Denominator cap for the rational approximation (default N).")
 @click.option("--emit-elements", is_flag=True)
 @output_option
@@ -353,7 +353,7 @@ count_cmd.add_command(count_a_cmd, "Asq")
 @click.option("--x", type=float, required=True)
 @click.option("--y", type=float, required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--n-level", "--N", "n_level", type=int, required=True)
+@click.option("--n-level", type=int, required=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--emit-elements", is_flag=True)
 @output_option
@@ -379,9 +379,9 @@ def count_matrices_cmd(x, y, n, n_level, delta, emit_elements, output):
 @click.option("--d2", type=int, default=1)
 @click.option("--c", type=int, required=True)
 @click.option("--u", type=int, required=True)
-@click.option("--n-level", "--N", "n_level", type=int, required=True)
-@click.option("--r1", "--R1", "r1_box", type=int, required=True)
-@click.option("--r2", "--R2", "r2_box", type=int, required=True)
+@click.option("--n-level", type=int, required=True)
+@click.option("--r1", "r1_box", type=int, required=True)
+@click.option("--r2", "r2_box", type=int, required=True)
 @output_option
 @_bad_input()
 def count_reduce_cmd(l1, l2, d1, d2, c, u, n_level, r1_box, r2_box, output):
@@ -393,8 +393,8 @@ def count_reduce_cmd(l1, l2, d1, d2, c, u, n_level, r1_box, r2_box, output):
 
 
 @main.command("amplifier")
-@click.option("--l", "--L", "l_len", type=float, required=True)
-@click.option("--n-level", "--N", "n_level", type=int, required=True)
+@click.option("--l", "l_len", type=float, required=True)
+@click.option("--n-level", type=int, required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--is-variant", is_flag=True, help="Primes up to sqrt(L) instead of [L, 2L].")
 @output_option
@@ -408,14 +408,12 @@ def amplifier_cmd(l_len, n_level, seed, is_variant, output):
     sys_ = amp_mod.HeckeSystem(chi, {p: rng.uniform(-2, 2) for p in primes})
     build = amp_mod.build_is_amplifier if is_variant else amp_mod.build_amplifier
     amp = build(sys_, l_len, mod)
-    diag = amp_mod.amplifier_diagonal_value(sys_, amp)
     _emit({
         "L": amp.L,
         "support_primes": list(amp.lambda1),
         "support_squares": list(amp.lambda2),
         "coefficients": {str(l): v for l, v in sorted(amp.coefficients.items())},
-        "diagonal": diag,
-        "diagonal_exact": amp_mod.amplifier_diagonal_symbolic(sys_, amp),
+        "diagonal": amp_mod.amplifier_diagonal_value(sys_, amp),
     }, output)
 
 

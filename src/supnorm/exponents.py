@@ -299,7 +299,6 @@ def theorem2_combination() -> dict:
     n_exp = x.exponent("N") * w1 + y.exponent("N") * w2
     return {
         "weights": (w1, w2),
-        "weights_sum_to_one": w1 + w2 == 1,
         "t_star_exponent": t_exp,
         "N_exponent": n_exp,
         "final_exponent": t_exp if t_exp == n_exp else None,

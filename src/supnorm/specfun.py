@@ -118,6 +118,11 @@ _SERIES_CUT = 4.0
 _SERIES_T = (0.05, 10.0)
 _TERMS = 24  # terms of each series; the first left out is below 1.8e-15 of the leading one
 _MAX_PANELS = 2 ** 17  # panels per integral; |t| = 1e4 needs about 1.1e5 radial at y = 1e-3
+# The least y of the two imaginary-order evaluators: at y = 1e-300 a contour's
+# p / y stays below 8e304, as p <= 40 / sin(min(pi/2, 1/t)) and `_radial_nodes`
+# raises past t ~ 1.1e3 (the ratio) or 2.0e3 (K) before building any node.
+# Below it y / 4, p / y and log(y / 2) underflow or overflow.
+_Y_FLOOR = 1e-300
 
 
 @functools.cache
@@ -203,6 +208,14 @@ def _positive_array(y, scale: float = 1.0) -> np.ndarray:
             raise ValueError(f"argument must be below {sys.float_info.max / scale:.3g}, got {v}")
         raise ValueError(f"argument must be {'positive' if v <= 0 else 'finite'}, got {v}")
     return y
+
+
+def _imaginary_order_args(t: float, y) -> tuple[float, np.ndarray]:
+    """`finite_order(t)` and `_positive_array(y)`, every y at least _Y_FLOOR."""
+    t, y = finite_order(t), _positive_array(y)
+    if (y < _Y_FLOOR).any():
+        raise ValueError(f"y must be at least {_Y_FLOOR:g} for an imaginary order, got {y.min()}")
+    return t, y
 
 
 def hankel_pq(mu: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,11 +306,10 @@ def _ratio_contour(t: float, y: np.ndarray) -> np.ndarray:
 
 def y_pair_ratio(t: float, y) -> np.ndarray:
     """Im J_{2it}(y) / sinh(pi t) = (Y_{2it}(y) + Y_{-2it}(y)) / (2 cosh(pi t))
-    over a 1-d array of y > 0; real, even in t, and Y_0(y) at t = 0.  The
+    over a 1-d array of y >= _Y_FLOOR; real, even in t, and Y_0(y) at t = 0.  The
     ascending series below y = 4 when 0.05 <= t <= 10, Hankel's expansion from
     y = max(40, 2.5 t^2), the contour integral in between."""
-    t = finite_order(t)
-    y = _positive_array(y)
+    t, y = _imaginary_order_args(t, y)
     out = np.empty_like(y)
     far = y >= hankel_cut(-16.0 * t * t)
     near = y < (_SERIES_CUT if _SERIES_T[0] <= t <= _SERIES_T[1] else 0.0)
@@ -309,17 +321,16 @@ def y_pair_ratio(t: float, y) -> np.ndarray:
 
 
 def k_imag_scaled(t: float, y) -> np.ndarray:
-    """cosh(pi t/2) K_{it}(y) over a 1-d array of y > 0; real and even in t.
+    """cosh(pi t/2) K_{it}(y) over a 1-d array of y >= _Y_FLOOR; real and even in t.
 
     K_{it}(y) = Re int e^{-y cosh u + itu} du along Im u = theta (the vertical
     leg is purely imaginary), at the saddle height theta = asin(t/y) when y > t,
     capped at pi/2 - 1/t (and at 0 when that is negative) so the decay rate
     y cos theta stays positive.  The factor exp(-y cos theta - t theta) is
     carried in the log domain, so K stays relatively accurate where it is e^-300."""
-    t = finite_order(t)
-    y = _positive_array(y)
+    t, y = _imaginary_order_args(t, y)
     cap = math.pi / 2 - 1 / t if t > 2 / math.pi else 0.0
-    theta = np.minimum(np.arcsin(np.minimum(1.0, t / y)), cap)
+    theta = np.minimum(np.arcsin(t / np.maximum(y, t)), cap)
     cos_th, sin_th = np.cos(theta), np.sin(theta)
     log_cosh = math.pi * t / 2 + math.log1p(math.exp(-math.pi * t)) - math.log(2)
     scale = np.exp(log_cosh - y * cos_th - t * theta)

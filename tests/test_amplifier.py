@@ -98,4 +98,3 @@ def test_diagonal_with_nontrivial_character():
         amp = amplifier.build_amplifier(sys_, 5.0, SquarefreeModulus.from_int(7))
         value = amplifier.amplifier_diagonal_value(sys_, amp)
         assert abs(value - len(amp.lambda1)) < 1e-9
-        assert amplifier.amplifier_diagonal_symbolic(sys_, amp) == len(amp.lambda1)

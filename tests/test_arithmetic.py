@@ -33,7 +33,7 @@ def test_theta_value():
 
 def test_squarefree_modulus_accepts_and_rejects():
     m = SquarefreeModulus.from_int(30)
-    assert int(m) == 30
+    assert m.value == 30
     assert m.prime_factors == (2, 3, 5)
     for bad in (4, 12, 18, 50, 0, -3):
         with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ def test_p_adic_valuation_rejects_zero_and_composite():
 
 def test_primes_in_interval_excludes_modulus():
     assert primes_in_interval(2, 20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_in_interval(2, 20, SquarefreeModulus.from_int(15)) == [2, 7, 11, 13, 17, 19]
+    assert primes_in_interval(2, 20, 15) == [2, 7, 11, 13, 17, 19]
 
 
 def _smallest_primitive_root(p):

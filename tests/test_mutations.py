@@ -5,6 +5,9 @@ function in its module for the test, and runs the matching property at seed
 0.  A property that still passed with the fault in place could not see it.
 The last case moves the transform grid's cut instead of rewriting a line.
 
+Every boolean flag in a property's detail has a case here that turns it
+False, so each flag the report carries is shown able to fail.
+
 `NAN_FAULTS`, which are also in `FAULTS`, make one computed value NaN; the
 property must fail on a NaN or infinite fitted constant, not skip the value.
 
@@ -15,8 +18,10 @@ its case passes, strict mode fails the run, and the case moves to `FAULTS`.
 
 import __future__
 import inspect
+import json
 import math
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -51,12 +56,19 @@ FAULTS = {
     "sign of r2 flipped in count_admissible_a's walk": (
         "counting/congruence-reduction", None, counting, "count_admissible_a",
         "_centered(-l2 * a - k2, m)", "_centered(l2 * a - k2, m)"),
+    # the admissible residues are keyed by r2 alone, so distinct (r1, r2) merge
+    "multiplicities keyed by r2 alone in count_admissible_a": (
+        "counting/congruence-reduction", "multiplicity_ok", counting, "count_admissible_a",
+        "np.unique(r1 * m + r2,", "np.unique(r2,"),
     "residue shifted by one in enumerate_A": (
         "counting/box-bounds", "dual_oracle_ok", counting, "enumerate_A_columns",
         "s = (t[point] - sf + ", "s = (t[point] - sf + 1 + "),
     "rho halved in the matrix oracle's box": (
         "counting/matrices-ubound", "all_equal", counting, "_oracle_box",
         "rho = math.sqrt(", "rho = 0.5 * math.sqrt("),
+    "closed-form coefficients negated in _closed_product": (
+        "transforms/positivity", "all_positive", transforms, "_closed_product",
+        "coeff /= factor", "coeff /= -factor"),
     "exponent perturbed in assemble_bound1": (
         "exponents/reproduction", "all_exact", exponents, "assemble_bound1",
         "H=F(1, 2), N=F(-3, 4)", "H=F(1, 3), N=F(-3, 4)"),
@@ -83,6 +95,10 @@ FAULTS = {
     "c <= 2 returns 0 in kloosterman_sum": (
         "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
         "return complex((-1) ** ((m + n) % c))", "return 0j"),
+    # each prime then adds -chibar(p) lambda(p^2) to the diagonal; max_rel_error 3.58
+    "square coefficient doubled in _amplifier_on": (
+        "amplifier/diagonal", None, amplifier, "_amplifier_on",
+        "coeffs[p * p] = -chibar(p)", "coeffs[p * p] = -2 * chibar(p)"),
     # the ratio's ascending series below y = 4, and the far J_n of the grid
     "ascending series summed in +y^2/4": (
         "transforms/closed-vs-quadrature", None, specfun, "_ratio_series",
@@ -141,10 +157,6 @@ BLIND_SPOTS = {
     "even branch for odd characters in kloosterman_sum": (
         "item 1", "kloosterman/weil-reference", None, kloosterman, "kloosterman_sum",
         "odd = chi.order(), not chi.is_even()", "odd = chi.order(), False"),
-    # max_rel_error fails (3.58); the symbolic check is a tautology
-    "square coefficient doubled in _amplifier_on": (
-        "item 4", "amplifier/diagonal", "symbolic_exact", amplifier, "_amplifier_on",
-        "coeffs[p * p] = -chibar(p)", "coeffs[p * p] = -2 * chibar(p)"),
     # the shape fits take K's own values; no property holds K to a second one
     "k_imag_scaled times 1.5": (
         "item 2", "specfun/grid", None, specfun, "k_imag_scaled",
@@ -206,6 +218,14 @@ def test_fault_fails_its_property(monkeypatch, fault):
     for fault, (owner, *_) in BLIND_SPOTS.items()])
 def test_blind_spot_fails_its_property(monkeypatch, fault):
     _check_fault(monkeypatch, *BLIND_SPOTS[fault][1:])
+
+
+def test_every_boolean_flag_has_a_fault():
+    # a flag in a property's detail that no fault turns False is not evidence
+    report = json.loads((Path(__file__).parent / "verify_seed0.json").read_text())
+    flags = {(rec["id"], key) for rec in report["properties"]
+             for key, value in rec["detail"].items() if isinstance(value, bool)}
+    assert flags - {(prop_id, flag) for prop_id, flag, *_ in FAULTS.values()} == set()
 
 
 @pytest.mark.parametrize("cut", [2e3, 4e3])

@@ -119,6 +119,20 @@ def test_y_pair_ratio_where_y_squared_underflows(t, y):
     assert ours == pytest.approx(float(ref), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
+def test_k_imag_scaled_at_the_y_floor_against_mpmath(t):
+    # the least y either imaginary-order evaluator takes; its phase t log(y/2)
+    # is about 690 t there, whose rounding sets the relative error (1.7e-12)
+    y = specfun._Y_FLOOR
+    ours = float(specfun.k_imag_scaled(t, [y])[0])
+    with mp.workdps(40):
+        ref = mp.cosh(mp.pi * t / 2) * mp.besselk(1j * mp.mpf(t), mp.mpf(y)).real
+    assert ours == pytest.approx(float(ref), rel=1e-11)
+    for evaluate in (specfun.k_imag_scaled, specfun.y_pair_ratio):
+        with pytest.raises(ValueError, match="y must be at least 1e-300 for an imaginary order"):
+            evaluate(t, [1.0, y * (1 - 2 ** -52)])
+
+
 def test_k_imag_scaled_is_zero_where_its_factor_underflows():
     # e^{-y cos theta} underflows there, so the value is 0 and no nodes are
     # built; at 1e10 they would run past _MAX_PANELS

@@ -53,10 +53,10 @@ CASES = {
         [("at limit", {"geometric_constant": 1e3}, True),
          ("above limit", {"geometric_constant": 1000.1}, False)]),
     "amplifier/diagonal": (
-        {"instances": 50, "max_rel_error": 1e-15, "symbolic_exact": True},
+        {"instances": 50, "max_rel_error": 1e-15},
         [("at limit", {"max_rel_error": 1e-9}, True),
          ("above limit", {"max_rel_error": 1.01e-9}, False),
-         ("not exact", {"symbolic_exact": False}, False)]),
+         ("NaN error", {"max_rel_error": math.nan}, False)]),
     "specfun/grid": (
         {"bessel_j_constant": 1.6, "bessel_k_constant": 3.5, "whittaker_constant": 0.6,
          "transition_constant": 1.2, "recurrence_max_error": 5e-7,
